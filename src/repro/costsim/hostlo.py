@@ -115,14 +115,24 @@ def _most_wasted_destination(
     A destination must be strictly more wasted than the source would be
     attractive to fill — otherwise containers would oscillate between
     equally-loaded VMs forever.
+
+    This is the pass's hot loop, so it inlines :meth:`BoughtVm.fits`
+    and :attr:`BoughtVm.waste`.  Their exact comparisons, including the
+    first-wins strict tie-break, decide which VM takes each container.
     """
+    cpu = item.cpu
+    memory = item.memory
     best: BoughtVm | None = None
     best_waste = source.waste
     for vm in vms:
-        if vm is source or not vm.fits(item.cpu, item.memory):
+        free_cpu = vm.free_cpu
+        free_memory = vm.free_memory
+        if (vm is source or not cpu <= free_cpu + 1e-12
+                or not memory <= free_memory + 1e-12):
             continue
-        if vm.waste > best_waste + 1e-12:
-            best, best_waste = vm, vm.waste
+        waste = free_cpu + free_memory
+        if waste > best_waste + 1e-12:
+            best, best_waste = vm, waste
     return best
 
 
@@ -131,7 +141,8 @@ def _resplit(vm: BoughtVm) -> list[BoughtVm]:
 
     Containers of unsplittable pods move as one atom; splittable pods'
     containers move independently (their localhost becomes a hostlo).
-    Best-fit decreasing; the original VM is kept when not beaten.
+    Best-fit decreasing; the original VM is kept when not beaten.  The
+    new VMs are named after the original (``vm-3`` -> ``vm-3.0``, ...).
     """
     atoms: dict[str, list[PlacedContainer]] = {}
     singles: list[list[PlacedContainer]] = []
@@ -159,7 +170,8 @@ def _resplit(vm: BoughtVm) -> list[BoughtVm]:
             if candidate.fits(cpu, memory) and candidate.waste < best_waste:
                 best, best_waste = candidate, candidate.waste
         if best is None:
-            best = BoughtVm(cheapest_fitting(cpu, memory))
+            best = BoughtVm(cheapest_fitting(cpu, memory),
+                            name=f"{vm.name}.{len(new_vms)}")
             new_vms.append(best)
         for item in group:
             best.place(item)

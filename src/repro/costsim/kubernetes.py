@@ -23,13 +23,15 @@ def schedule_user(pods: t.Sequence[TracePod],
     ``policy`` selects the node-scoring rule: ``"most-requested"``
     (the paper's grouping policy) or ``"least-requested"`` (Kubernetes'
     spreading alternative, exposed for the scheduler ablation).
+    VMs are named ``vm-0``, ``vm-1``, ... in the order they are bought.
     """
     direction = {"most-requested": 1.0, "least-requested": -1.0}[policy]
     vms: list[BoughtVm] = []
     for pod in sorted(pods, key=lambda p: p.size_key, reverse=True):
         target = _pick_node(vms, pod, direction)
         if target is None:
-            target = BoughtVm(cheapest_fitting(pod.cpu, pod.memory))
+            target = BoughtVm(cheapest_fitting(pod.cpu, pod.memory),
+                              name=f"vm-{len(vms)}")
             vms.append(target)
         for container in pod.containers:
             target.place(

@@ -28,9 +28,9 @@ import heapq
 import typing as t
 
 from repro.costsim.packing import BoughtVm, PlacedContainer
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
-from repro.traces.aws import cheapest_fitting
+from repro.traces.aws import VmModel, cheapest_fitting
 from repro.traces.google import TraceConfig, TracePod, generate_trace
 
 
@@ -88,11 +88,14 @@ class _Fleet:
         self.peak_vms = 0
         self.buys = 0
 
-    def buy(self, vm: BoughtVm, now_h: float) -> None:
+    def buy(self, model: VmModel, now_h: float) -> BoughtVm:
+        """Buy a VM, named by this fleet's purchase count."""
+        vm = BoughtVm(model, name=f"vm-{self.buys}")
         self.vms.append(vm)
         self._bought_at[vm.name] = now_h
         self.buys += 1
         self.peak_vms = max(self.peak_vms, len(self.vms))
+        return vm
 
     def release(self, vm: BoughtVm, now_h: float) -> None:
         uptime = now_h - self._bought_at.pop(vm.name)
@@ -223,11 +226,7 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
             location.pop(item).remove(item)
 
     # Buy the cheapest VM that hosts the whole pod (step 3b).
-    try:
-        vm = BoughtVm(cheapest_fitting(pod.cpu, pod.memory))
-    except CapacityError:
-        raise
-    fleet.buy(vm, now)
+    vm = fleet.buy(cheapest_fitting(pod.cpu, pod.memory), now)
     for container in pod.containers:
         item = PlacedContainer(pod.name, container, pod.splittable)
         vm.place(item)

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing as t
 
 from repro.errors import CapacityError
 from repro.traces.aws import VmModel, cheapest_fitting
 from repro.traces.google import TraceContainer
-
-_vm_ids = itertools.count()
 
 
 @dataclasses.dataclass(eq=False)
@@ -40,14 +37,46 @@ class PlacedContainer:
 
 
 class BoughtVm:
-    """One VM a user bought, with its placed containers."""
+    """One VM a user bought, with its placed containers.
 
-    def __init__(self, model: VmModel, name: str | None = None) -> None:
-        self.model = model
-        self.name = name or f"vm-{next(_vm_ids)}"
+    ``free_cpu`` and ``free_memory`` are plain attributes, so the
+    improvement pass's O(items x VMs) scan costs two attribute loads
+    per VM.  Invariant: they always equal ``model.cpu_rel - used_cpu``
+    and ``model.memory_rel - used_memory`` exactly.  :meth:`_refresh`
+    recomputes them with that expression
+    after every :meth:`place`, :meth:`remove`, :meth:`clone` and
+    ``model`` assignment.  They are never decremented in place:
+    ``(a - x) - y`` can differ from ``a - (x + y)`` in the last bit,
+    and the scan's 1e-12 tie-breaks would then pick another VM.
+
+    ``name`` tells the VM apart within its assignment, and the fabric
+    cost model hashes it to place the VM.  Callers derive it from the
+    assignment, never from process-wide state, so results do not
+    depend on what the process ran before.
+    """
+
+    __slots__ = ("_model", "name", "placed", "_used_cpu", "_used_memory",
+                 "free_cpu", "free_memory")
+
+    def __init__(self, model: VmModel, name: str = "vm") -> None:
+        self.name = name
         self.placed: list[PlacedContainer] = []
         self._used_cpu = 0.0
         self._used_memory = 0.0
+        self.model = model
+
+    def _refresh(self) -> None:
+        self.free_cpu = self._model.cpu_rel - self._used_cpu
+        self.free_memory = self._model.memory_rel - self._used_memory
+
+    @property
+    def model(self) -> VmModel:
+        return self._model
+
+    @model.setter
+    def model(self, model: VmModel) -> None:
+        self._model = model
+        self._refresh()
 
     # -- capacity ------------------------------------------------------------
     @property
@@ -57,14 +86,6 @@ class BoughtVm:
     @property
     def used_memory(self) -> float:
         return self._used_memory
-
-    @property
-    def free_cpu(self) -> float:
-        return self.model.cpu_rel - self.used_cpu
-
-    @property
-    def free_memory(self) -> float:
-        return self.model.memory_rel - self.used_memory
 
     @property
     def waste(self) -> float:
@@ -94,11 +115,13 @@ class BoughtVm:
         self.placed.append(item)
         self._used_cpu += item.cpu
         self._used_memory += item.memory
+        self._refresh()
 
     def remove(self, item: PlacedContainer) -> None:
         self.placed.remove(item)
         self._used_cpu -= item.cpu
         self._used_memory -= item.memory
+        self._refresh()
 
     def shrunk_model(self) -> VmModel:
         """The cheapest catalog model that still holds this VM's load."""
@@ -111,6 +134,7 @@ class BoughtVm:
         copy.placed = list(self.placed)
         copy._used_cpu = self._used_cpu
         copy._used_memory = self._used_memory
+        copy._refresh()
         return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -52,6 +52,9 @@ M5_CATALOG: tuple[VmModel, ...] = (
     VmModel(name="24xlarge", vcpus=96, memory_gb=384, price_per_h=5.376),
 )
 
+#: The catalog in price order, sorted once for :func:`cheapest_fitting`.
+_BY_PRICE: tuple[VmModel, ...] = tuple(sorted(M5_CATALOG))
+
 
 def model(name: str) -> VmModel:
     """Look up a model by name."""
@@ -67,7 +70,7 @@ def cheapest_fitting(cpu_rel: float, memory_rel: float) -> VmModel:
     This is the "buy a new VM of the size that best fits" rule of
     §5.3.1 step 3b.
     """
-    for m in sorted(M5_CATALOG):  # price order
+    for m in _BY_PRICE:
         if m.fits(cpu_rel, memory_rel):
             return m
     raise CapacityError(

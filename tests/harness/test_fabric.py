@@ -74,6 +74,13 @@ class TestLanes:
         assert topo["effective_cost_per_h"] <= \
             dollars["effective_cost_per_h"]
 
+    def test_reflection_cost_ignores_process_history(self):
+        """VM names, which place VMs on the fabric, come from each
+        assignment, so a second run in the same process (as in a
+        long-lived service worker) prices the same."""
+        first = fabric.run_reflection_cost(small_config())
+        assert fabric.run_reflection_cost(small_config()) == first
+
     def test_zero_invariant_violations_everywhere(self, result):
         assert all(row["violations"] == 0 for row in result.rows)
 
