@@ -15,18 +15,43 @@ behind the paper's fig 4/fig 10 curves.
 
 from __future__ import annotations
 
-import typing as t
-
 import dataclasses
+import typing as t
 
 from repro.errors import ConfigurationError
 from repro.net.costs import CostModel
 from repro.net.path import Datapath
 from repro.obs import metrics as _active_metrics
-from repro.sim import CpuResource, Environment
+from repro.sim import CpuResource, Environment, Timeout
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.net.arq import ReliableTransfer
+
+#: Stage plans an engine memoises before it starts over (ARQ builds a
+#: new truncated path for every lost ACK).
+_PLAN_MEMO_SIZE = 256
+
+
+def _stage_plan(path: Datapath, nbytes: int, batched: bool,
+                model: CostModel) -> tuple[tuple, ...]:
+    """``(stage, domain, label, account, cycles, wakeup_s)`` per stage.
+
+    Domains stay names, so planning creates no lazy kernel-thread CPU.
+    """
+    segments = path.segments_for(nbytes)
+    plan = []
+    for st in path.stages:
+        cost = model[st.stage]
+        packets = 1 if cost.per_message else segments
+        cycles = cost.cycles(packets, nbytes, batched=batched) * st.multiplier
+        wakeup = cost.wakeup_s
+        if batched and cost.batch_factor > 1.0:
+            # Under back-to-back traffic, interrupt coalescing and NAPI
+            # polling amortise the deferral as they amortise the cycles.
+            wakeup = wakeup / cost.batch_factor
+        plan.append(
+            (st.stage, st.domain, st.label, cost.account, cycles, wakeup))
+    return tuple(plan)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,6 +88,9 @@ class TransferEngine:
         self.env = env
         self.cost_model = cost_model or CostModel.default()
         self._domains: dict[str, CpuResource] = {}
+        # Plans keyed on identity (hashing a frozen Datapath walks its
+        # stages); each entry holds its path and model so ids stay unique.
+        self._plans: dict[tuple, tuple] = {}
 
     # -- domain management ---------------------------------------------------
     def register_domain(self, name: str, cpu: CpuResource) -> None:
@@ -127,11 +155,26 @@ class TransferEngine:
         model for this one message — the hook network-stack backends
         use to reprice their stages without a private engine.
         """
+        return self._carry(path, nbytes, stream, cost_model, None)
+
+    def _carry(self, path: Datapath, nbytes: int, stream: bool,
+               cost_model: CostModel | None,
+               timings: list[StageTiming] | None) -> t.Generator:
+        """The stage loop of :meth:`transfer` and :meth:`trace`; with
+        *timings* it records a timeline instead of tracer spans."""
         model = cost_model or self.cost_model
-        tracer = self.env.tracer
+        key = (id(path), id(model), nbytes, stream)
+        memo = self._plans.get(key)
+        if memo is None:
+            if len(self._plans) >= _PLAN_MEMO_SIZE:
+                self._plans.clear()
+            memo = self._plans[key] = (
+                path, model, _stage_plan(path, nbytes, stream, model))
+        env = self.env
+        tracer = env.tracer
+        traced = timings is None and tracer.enabled
         parent = None
-        queue_depth = None
-        if tracer.enabled:
+        if traced:
             parent = tracer.begin(
                 "datapath.transfer", f"{path.src}->{path.dst}",
                 nbytes=nbytes, stream=stream, stages=len(path.stages),
@@ -141,30 +184,24 @@ class TransferEngine:
                 "cpu.queue_depth",
                 help="jobs waiting per CPU domain, sampled at stage entry",
             )
-        segments = path.segments_for(nbytes)
-        for st in path.stages:
-            cost = model[st.stage]
-            packets = 1 if cost.per_message else segments
-            cycles = cost.cycles(packets, nbytes, batched=stream) * st.multiplier
+        for stage, domain, label, account, cycles, wakeup in memo[2]:
             span = None
-            if tracer.enabled:
-                cpu = self.cpu(st.domain)
+            if traced:
                 span = tracer.begin(
-                    "datapath.stage", st.stage, parent=parent,
-                    domain=st.domain, account=cost.account, cycles=cycles,
-                    label=st.label,
+                    "datapath.stage", stage, parent=parent,
+                    domain=domain, account=account, cycles=cycles,
+                    label=label,
                 )
-                queue_depth.set(cpu.queue_depth, domain=st.domain)
+                queue_depth.set(self.cpu(domain).queue_depth, domain=domain)
+            started = env._now
             if cycles > 0.0:
-                yield self.cpu(st.domain).execute(cycles, account=cost.account)
-            wakeup = cost.wakeup_s
-            if stream and cost.batch_factor > 1.0:
-                # Under back-to-back traffic, interrupt coalescing and
-                # NAPI polling amortise the deferral the same way they
-                # amortise the per-packet cycles.
-                wakeup = wakeup / cost.batch_factor
+                yield self.cpu(domain).execute(cycles, account)
+            cpu_done = env._now
             if wakeup > 0.0:
-                yield self.env.timeout(wakeup)
+                yield Timeout(env, wakeup)
+            if timings is not None:
+                timings.append(StageTiming(
+                    stage, domain, label, started, cpu_done, env._now, cycles))
             if span is not None:
                 tracer.end(span)
         if parent is not None:
@@ -208,37 +245,9 @@ class TransferEngine:
         against concurrent traffic shows up as per-stage wait time.
         *cost_model* overrides the engine's model for this trace.
         """
-        model = cost_model or self.cost_model
         timings: list[StageTiming] = []
-        segments = path.segments_for(nbytes)
-
-        def traced() -> t.Generator:
-            for st in path.stages:
-                cost = model[st.stage]
-                packets = 1 if cost.per_message else segments
-                cycles = (
-                    cost.cycles(packets, nbytes, batched=stream)
-                    * st.multiplier
-                )
-                start = self.env.now
-                if cycles > 0.0:
-                    yield self.cpu(st.domain).execute(
-                        cycles, account=cost.account
-                    )
-                cpu_done = self.env.now
-                wakeup = cost.wakeup_s
-                if stream and cost.batch_factor > 1.0:
-                    wakeup = wakeup / cost.batch_factor
-                if wakeup > 0.0:
-                    yield self.env.timeout(wakeup)
-                timings.append(StageTiming(
-                    stage=st.stage, domain=st.domain, label=st.label,
-                    started_at=start, cpu_done_at=cpu_done,
-                    finished_at=self.env.now,
-                    cycles=cycles,
-                ))
-
-        self.env.run(until=self.env.process(traced()))
+        self.env.run(until=self.env.process(
+            self._carry(path, nbytes, stream, cost_model, timings)))
         return timings
 
     # -- analytics -------------------------------------------------------------
@@ -250,13 +259,9 @@ class TransferEngine:
         queueing on top of this.
         """
         model = cost_model or self.cost_model
-        segments = path.segments_for(nbytes)
         total = 0.0
-        for st in path.stages:
-            cost = model[st.stage]
-            packets = 1 if cost.per_message else segments
-            cycles = cost.cycles(packets, nbytes, batched=False) * st.multiplier
-            total += cycles / model.freq_hz + cost.wakeup_s
+        for *_, cycles, wakeup in _stage_plan(path, nbytes, False, model):
+            total += cycles / model.freq_hz + wakeup
         return total
 
     def bottleneck_rate(self, path: Datapath, nbytes: int,
@@ -268,17 +273,11 @@ class TransferEngine:
         """
         model = cost_model or self.cost_model
         per_domain: dict[str, float] = {}
-        segments = path.segments_for(nbytes)
-        for st in path.stages:
-            cost = model[st.stage]
-            packets = 1 if cost.per_message else segments
-            cycles = cost.cycles(packets, nbytes, batched=True) * st.multiplier
-            per_domain[st.domain] = per_domain.get(st.domain, 0.0) + cycles
+        for _, domain, _, _, cycles, _ in _stage_plan(path, nbytes, True, model):
+            per_domain[domain] = per_domain.get(domain, 0.0) + cycles
         worst = max(per_domain.values())
         if worst <= 0.0:
             return float("inf")
-        cpu_cores = {d: self.cpu(d).cores for d in per_domain}
         # A single flow rarely spreads one direction across cores; be
         # conservative and assume the bottleneck stage set runs on one core.
-        del cpu_cores
         return model.freq_hz / worst

@@ -1,4 +1,13 @@
-"""The discrete-event environment: clock, heap, run loop."""
+"""The discrete-event environment: clock, heap, run loop.
+
+Ordering contract: events run in ``(time, priority, seq)`` order, where
+``priority`` puts urgent events (process start, interrupts, resumes on
+already-processed events) before ordinary ones at the same instant and
+``seq`` is a global insertion counter, so same-instant ties resolve
+first-scheduled-first.  Every optimisation in the kernel must keep this
+order exactly; see :meth:`repro.sim.CpuResource._finish` for the one
+place that runs an event's callbacks without a heap round trip.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +17,7 @@ from itertools import count
 
 from repro.errors import SimulationError
 from repro.obs import tracer as _active_tracer
-from repro.sim.events import Event, Process, Timeout
-
-# Heap entries are (time, priority, seq, event); priority 0 beats 1 so
-# "urgent" events (process initialization, interrupts) run before
-# ordinary events scheduled at the same instant.
-_NORMAL = 1
-_URGENT = 0
+from repro.sim.events import NORMAL, URGENT, Event, Process, Timeout
 
 
 class Environment:
@@ -75,7 +78,7 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0, priority: bool = False) -> None:
         heapq.heappush(
             self._heap,
-            (self._now + delay, _URGENT if priority else _NORMAL, next(self._seq), event),
+            (self._now + delay, URGENT if priority else NORMAL, next(self._seq), event),
         )
 
     def peek(self) -> float:
@@ -92,7 +95,10 @@ class Environment:
         span = None
         if tracer.enabled:
             tracer.now = when
-            span = tracer.begin("sim.step", type(event).__name__)
+            span = tracer.begin(
+                "sim.step",
+                getattr(event, "step_name", None) or type(event).__name__,
+            )
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         if callbacks:
@@ -137,7 +143,7 @@ class Environment:
             return sentinel._value
 
         horizon = float(until)
-        if horizon < self._now:
+        if not horizon >= self._now:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}"
             )

@@ -10,6 +10,7 @@ its generator returns, so processes can wait on each other.
 from __future__ import annotations
 
 import typing as t
+from heapq import heappush
 
 from repro.errors import SimulationError
 
@@ -18,6 +19,12 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 PENDING = object()
 """Sentinel for the value of an event that has not been triggered."""
+
+# Heap entries are (time, priority, seq, event); priority 0 beats 1 so
+# "urgent" events (process initialization, interrupts) run before
+# ordinary events scheduled at the same instant.
+NORMAL = 1
+URGENT = 0
 
 
 class Event:
@@ -100,13 +107,18 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: t.Any = None) -> None:
-        if delay < 0:
+        # Written so that NaN fails too: NaN compares false either way.
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # The hottest constructor in the kernel: set the slots and push
+        # the heap entry here instead of via Event.__init__/_schedule.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heappush(env._heap, (env._now + delay, NORMAL, next(env._seq), self))
 
 
 class Initialize(Event):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import typing as t
 from collections import deque
+from heapq import heappush
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, PENDING, Event
 
 
 class Store:
@@ -70,7 +71,21 @@ class Store:
 
 
 class _Job:
-    __slots__ = ("cycles", "account", "done", "enqueued_at", "started_at")
+    """One job on a :class:`CpuResource`.
+
+    While in service the job is its own heap entry: the environment pops
+    it at its completion time and, through ``callbacks``, calls the
+    CPU's ``_finish``.  It has just the attributes
+    :meth:`Environment.step` reads from an event.
+    """
+
+    __slots__ = ("callbacks", "cycles", "account", "done", "enqueued_at",
+                 "started_at")
+
+    _ok = True
+    #: Traced runs label the service-completion step as the ``Timeout``
+    #: it used to be, so traces keep their shape.
+    step_name = "Timeout"
 
     def __init__(self, cycles: float, account: str, done: Event, enqueued_at: float):
         self.cycles = cycles
@@ -118,14 +133,17 @@ class CpuResource:
         self._window_start = env.now
         self._jobs_done = 0
         self._wait_total = 0.0
+        self._finish_callbacks = (self._finish,)
 
     # -- job submission -------------------------------------------------
     def execute(self, cycles: float, account: str = "usr") -> Event:
         """Submit a job of *cycles*; the event succeeds when it finishes."""
-        if cycles < 0:
+        # Written so that NaN fails too: NaN compares false either way.
+        if not cycles >= 0:
             raise SimulationError(f"negative cycles: {cycles!r}")
-        done = Event(self.env)
-        job = _Job(float(cycles), account, done, self.env.now)
+        env = self.env
+        done = Event(env)
+        job = _Job(float(cycles), account, done, env._now)
         if self._idle > 0:
             self._start(job)
         else:
@@ -139,21 +157,40 @@ class CpuResource:
     # -- internals --------------------------------------------------------
     def _start(self, job: _Job) -> None:
         self._idle -= 1
-        job.started_at = self.env.now
-        duration = job.cycles / self.freq_hz
-        timeout = self.env.timeout(duration)
-        timeout.callbacks.append(lambda _ev, job=job: self._finish(job))
+        env = self.env
+        now = env._now
+        job.started_at = now
+        job.callbacks = self._finish_callbacks
+        heappush(env._heap,
+                 (now + job.cycles / self.freq_hz, NORMAL, next(env._seq), job))
 
     def _finish(self, job: _Job) -> None:
         assert job.started_at is not None
-        duration = self.env.now - job.started_at
+        env = self.env
+        now = env._now
+        duration = now - job.started_at
         self._busy[job.account] = self._busy.get(job.account, 0.0) + duration
         self._jobs_done += 1
         self._wait_total += job.started_at - job.enqueued_at
         self._idle += 1
         if self._queue:
             self._start(self._queue.popleft())
-        job.done.succeed()
+        done = job.done
+        heap = env._heap
+        if ((heap and heap[0][0] <= now) or env.tracer.enabled
+                or done._value is not PENDING):
+            done.succeed()
+            return
+        # Nothing else is due at or before now, so ``done`` would be the
+        # very next event popped: run its callbacks here instead of
+        # pushing it and popping it straight back.  The (time, priority,
+        # seq) order of everything else is unchanged.  Traced runs keep
+        # the push so that their sim.step spans stay the same.
+        done._value = None
+        callbacks = done.callbacks
+        done.callbacks = None
+        for callback in callbacks:
+            callback(done)
 
     # -- accounting -------------------------------------------------------
     @property

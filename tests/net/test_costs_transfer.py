@@ -198,3 +198,54 @@ class TestTransferEngine:
             return env_local.now
 
         assert run(True) <= run(False)
+
+
+class TestStagePlan:
+    def test_analytics_create_no_cpus(self, nocont_topo):
+        # The lazy kernel-thread CPUs must first appear with the first
+        # job that runs on them: their creation time and order feed the
+        # CPU breakdowns.
+        env, eng, path = _engine_with_topo(nocont_topo)
+        assert any(d.startswith("kthread:") for d in path.domains())
+        before = eng.domains()
+        eng.bottleneck_rate(path, 1280)
+        eng.latency_estimate(path, 1280)
+        env.process(eng.transfer(path, 1280))
+        env.step()  # starts the process: plans the message, runs stage 1
+        assert eng.domains().keys() == before.keys()
+        env.run()
+        assert eng.kernel_threads()
+
+    def test_every_job_resolves_its_cpu_through_the_engine(self, nocont_topo):
+        # Callers hook ``engine.cpu`` to count jobs per domain.
+        env, eng, path = _engine_with_topo(nocont_topo)
+        lookup, seen = eng.cpu, []
+        eng.cpu = lambda domain: seen.append(domain) or lookup(domain)
+        for _ in range(2):
+            env.process(eng.transfer(path, 1280))
+            env.run()
+        jobs = [t.domain for t in eng.trace(path, 1280) if t.cycles > 0]
+        assert seen == jobs * 3
+
+    def test_memo_is_bounded_and_keyed_on_stream(self, nocont_topo):
+        import dataclasses
+
+        from repro.net import transfer as transfer_mod
+
+        env, eng, path = _engine_with_topo(nocont_topo)
+        copies = [dataclasses.replace(path)
+                  for _ in range(transfer_mod._PLAN_MEMO_SIZE + 5)]
+        for copy in copies:
+            env.process(eng.transfer(copy, 1280))
+            env.run()
+            assert len(eng._plans) <= transfer_mod._PLAN_MEMO_SIZE
+        env.process(eng.transfer(path, 1280, stream=True))
+        begun = env.now
+        env.run()
+        streamed = env.now - begun
+        env.process(eng.transfer(path, 1280))
+        begun = env.now
+        env.run()
+        assert env.now - begun == pytest.approx(
+            eng.latency_estimate(path, 1280), rel=1e-12)
+        assert streamed < env.now - begun

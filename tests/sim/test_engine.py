@@ -36,11 +36,40 @@ def test_run_until_time_stops_clock_exactly():
     assert env.now == 3.0
 
 
+def test_timeout_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+
+
+def test_nan_delay_cannot_reorder_the_heap():
+    # A NaN entry compares false against everything, so heapq would
+    # have fired 3, nan, 1, 2 as [1.0, 2.0, nan, 3.0].
+    env = Environment()
+    fired = []
+    for delay in (3.0, float("nan"), 1.0, 2.0):
+        try:
+            tmo = env.timeout(delay, value=delay)
+        except SimulationError:
+            continue
+        tmo.callbacks.append(lambda ev: fired.append(ev.value))
+    env.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
 def test_run_until_past_time_rejected():
     env = Environment()
     env.run(until=5.0)
     with pytest.raises(SimulationError):
         env.run(until=1.0)
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
 
 
 def test_step_on_empty_schedule_raises():

@@ -244,6 +244,17 @@ class TestCpuResource:
         with pytest.raises(SimulationError):
             cpu.execute(-1.0)
 
+    def test_nan_cycles_rejected(self):
+        # NaN slips past a plain ``cycles < 0`` check and would drive
+        # the clock to NaN once the job completed.
+        env = Environment()
+        cpu = CpuResource(env)
+        with pytest.raises(SimulationError):
+            cpu.execute(float("nan"))
+        assert cpu.busy_cores == 0 and cpu.queue_depth == 0
+        env.run()
+        assert env.now == 0.0
+
     def test_invalid_construction(self):
         env = Environment()
         with pytest.raises(SimulationError):
