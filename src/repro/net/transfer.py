@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import dataclasses
 import typing as t
+from heapq import heappush
 
 from repro.errors import ConfigurationError
 from repro.net.costs import CostModel
 from repro.net.path import Datapath
 from repro.obs import metrics as _active_metrics
-from repro.sim import CpuResource, Environment, Timeout
+from repro.sim import CpuResource, Environment, Event
+from repro.sim.events import NORMAL, PENDING
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.net.arq import ReliableTransfer
@@ -73,6 +75,152 @@ class StageTiming:
     @property
     def deferral_s(self) -> float:
         return self.finished_at - self.cpu_done_at
+
+
+class _StageWalker:
+    """Carries one message along its stage plan on callbacks.
+
+    The walker is the completion target of each stage's CPU job (see
+    :meth:`CpuResource.execute`) and its own heap entry for each wakeup,
+    so a stage costs no process resume, generator step or event.  When
+    the last stage completes it runs its waiter's callbacks inline: the
+    sending process resumes at the same point of the ``(time, priority,
+    seq)`` order as it would have stepping through the stages itself.
+    It has the attributes :meth:`Environment.step` and
+    ``CpuResource._finish`` read from an event.
+    """
+
+    __slots__ = ("callbacks", "_value", "step_name", "engine", "env",
+                 "plan", "pos", "waiter", "timings", "recording", "started",
+                 "cpu_done", "tracer", "parent", "span", "queue_depth")
+
+    _ok = True
+
+    def __init__(self, engine: "TransferEngine", path: Datapath, nbytes: int,
+                 stream: bool, plan: tuple[tuple, ...],
+                 timings: list[StageTiming] | None) -> None:
+        self.engine = engine
+        self.env = env = engine.env
+        self.plan = plan
+        self.pos = 0
+        self.waiter: Event | None = None
+        self.timings = timings
+        self.span = None
+        tracer = env.tracer
+        if timings is not None or not tracer.enabled:
+            self.tracer = None
+            self.recording = timings is not None
+            return
+        self.tracer = tracer
+        self.recording = True
+        self.parent = tracer.begin(
+            "datapath.transfer", f"{path.src}->{path.dst}",
+            nbytes=nbytes, stream=stream, stages=len(path.stages),
+            jitter=path.jitter_class,
+        )
+        self.queue_depth = _active_metrics().gauge(
+            "cpu.queue_depth",
+            help="jobs waiting per CPU domain, sampled at stage entry",
+        )
+
+    def run(self) -> bool:
+        """Start stages from ``pos`` until one has to wait.
+
+        Returns False once the message is through.
+        """
+        plan = self.plan
+        env = self.env
+        tracer = self.tracer
+        while self.pos < len(plan):
+            stage, domain, label, account, cycles, wakeup = plan[self.pos]
+            if tracer is not None:
+                self.span = tracer.begin(
+                    "datapath.stage", stage, parent=self.parent,
+                    domain=domain, account=account, cycles=cycles,
+                    label=label,
+                )
+                self.queue_depth.set(self.engine.cpu(domain).queue_depth,
+                                     domain=domain)
+            self.started = env._now
+            if cycles > 0.0:
+                # ``_finish`` pushes a target whose ``_value`` is set.
+                self.callbacks = _AFTER_CPU
+                self._value = PENDING
+                self.engine.cpu(domain).execute(cycles, account, self)
+                return True
+            self.cpu_done = env._now
+            if wakeup > 0.0:
+                self._sleep(wakeup)
+                return True
+            if self.recording:
+                self._record()
+            self.pos += 1
+        if tracer is not None:
+            tracer.end(self.parent)
+        return False
+
+    def succeed(self) -> None:
+        """Push the CPU completion through the heap, as ``_finish`` does
+        when something else is due now or a tracer is on; traced runs
+        name the step ``Event`` like the event it stands in for."""
+        env = self.env
+        self.step_name = "Event"
+        heappush(env._heap, (env._now, NORMAL, next(env._seq), self))
+
+    def _sleep(self, wakeup: float) -> None:
+        """Push the walker as the stage's wakeup, named ``Timeout`` in
+        traced runs like the event it stands in for."""
+        env = self.env
+        self.callbacks = _AFTER_WAKEUP
+        self.step_name = "Timeout"
+        heappush(env._heap, (env._now + wakeup, NORMAL, next(env._seq), self))
+
+    def _after_cpu(self) -> None:
+        if self.waiter is None:
+            return
+        self.cpu_done = self.env._now
+        wakeup = self.plan[self.pos][5]
+        if wakeup > 0.0:
+            self._sleep(wakeup)
+        else:
+            self._next_stage()
+
+    def _after_wakeup(self) -> None:
+        if self.waiter is not None:
+            self._next_stage()
+
+    def _record(self) -> None:
+        """Close the current stage's timeline entry and span."""
+        if self.timings is not None:
+            stage, domain, label, _, cycles, _ = self.plan[self.pos]
+            self.timings.append(StageTiming(
+                stage, domain, label, self.started, self.cpu_done,
+                self.env._now, cycles))
+        if self.span is not None:
+            self.tracer.end(self.span)
+
+    def _next_stage(self) -> None:
+        """Close the current stage and run the next ones; after the last,
+        resume the waiter inline (or throw the error a stage raised)."""
+        if self.recording:
+            self._record()
+        self.pos += 1
+        waiter = self.waiter
+        try:
+            if self.run():
+                return
+            waiter._value = None
+        except Exception as exc:
+            waiter._ok = False
+            waiter._value = exc
+        callbacks = waiter.callbacks
+        waiter.callbacks = None
+        for callback in callbacks:
+            callback(waiter)
+
+
+_AFTER_CPU = (_StageWalker._after_cpu,)
+_AFTER_WAKEUP = (_StageWalker._after_wakeup,)
 
 
 class TransferEngine:
@@ -155,13 +303,16 @@ class TransferEngine:
         model for this one message — the hook network-stack backends
         use to reprice their stages without a private engine.
         """
-        return self._carry(path, nbytes, stream, cost_model, None)
+        return self._walk(path, nbytes, stream, cost_model, None)
 
-    def _carry(self, path: Datapath, nbytes: int, stream: bool,
-               cost_model: CostModel | None,
-               timings: list[StageTiming] | None) -> t.Generator:
-        """The stage loop of :meth:`transfer` and :meth:`trace`; with
-        *timings* it records a timeline instead of tracer spans."""
+    def _walk(self, path: Datapath, nbytes: int, stream: bool,
+              cost_model: CostModel | None,
+              timings: list[StageTiming] | None) -> t.Generator:
+        """Start a :class:`_StageWalker`; wait once if it cannot finish now.
+
+        With *timings* the walker records a timeline instead of tracer
+        spans (:meth:`trace`).
+        """
         model = cost_model or self.cost_model
         key = (id(path), id(model), nbytes, stream)
         memo = self._plans.get(key)
@@ -170,42 +321,15 @@ class TransferEngine:
                 self._plans.clear()
             memo = self._plans[key] = (
                 path, model, _stage_plan(path, nbytes, stream, model))
-        env = self.env
-        tracer = env.tracer
-        traced = timings is None and tracer.enabled
-        parent = None
-        if traced:
-            parent = tracer.begin(
-                "datapath.transfer", f"{path.src}->{path.dst}",
-                nbytes=nbytes, stream=stream, stages=len(path.stages),
-                jitter=path.jitter_class,
-            )
-            queue_depth = _active_metrics().gauge(
-                "cpu.queue_depth",
-                help="jobs waiting per CPU domain, sampled at stage entry",
-            )
-        for stage, domain, label, account, cycles, wakeup in memo[2]:
-            span = None
-            if traced:
-                span = tracer.begin(
-                    "datapath.stage", stage, parent=parent,
-                    domain=domain, account=account, cycles=cycles,
-                    label=label,
-                )
-                queue_depth.set(self.cpu(domain).queue_depth, domain=domain)
-            started = env._now
-            if cycles > 0.0:
-                yield self.cpu(domain).execute(cycles, account)
-            cpu_done = env._now
-            if wakeup > 0.0:
-                yield Timeout(env, wakeup)
-            if timings is not None:
-                timings.append(StageTiming(
-                    stage, domain, label, started, cpu_done, env._now, cycles))
-            if span is not None:
-                tracer.end(span)
-        if parent is not None:
-            tracer.end(parent)
+        walker = _StageWalker(self, path, nbytes, stream, memo[2], timings)
+        if walker.run():
+            walker.waiter = waiter = Event(self.env)
+            try:
+                yield waiter
+            finally:
+                # Thrown into or closed while waiting (an interrupt):
+                # the stages not yet started are abandoned.
+                walker.waiter = None
 
     def reliable_transfer(
         self, path: Datapath, nbytes: int, messages: int = 1, **kwargs: t.Any
@@ -247,7 +371,7 @@ class TransferEngine:
         """
         timings: list[StageTiming] = []
         self.env.run(until=self.env.process(
-            self._carry(path, nbytes, stream, cost_model, timings)))
+            self._walk(path, nbytes, stream, cost_model, timings)))
         return timings
 
     # -- analytics -------------------------------------------------------------
@@ -266,10 +390,14 @@ class TransferEngine:
 
     def bottleneck_rate(self, path: Datapath, nbytes: int,
                         cost_model: CostModel | None = None) -> float:
-        """Upper-bound streaming rate (messages/s) from per-domain work.
+        """Single-core streaming rate (messages/s) from per-domain work.
 
-        The busiest CPU domain bounds throughput; batchable stages are
-        amortised as they would be under streaming.
+        The rate at which the busiest CPU domain clears one message's
+        work on *one* core; batchable stages are amortised as they would
+        be under streaming.  It is not an upper bound on the DES: with
+        several messages in flight a multi-core domain serves stages on
+        all of its cores, and the streamed rate can exceed this figure
+        (brfusion at 16384 B by 1.58x in the perfbench netperf grid).
         """
         model = cost_model or self.cost_model
         per_domain: dict[str, float] = {}
@@ -278,6 +406,6 @@ class TransferEngine:
         worst = max(per_domain.values())
         if worst <= 0.0:
             return float("inf")
-        # A single flow rarely spreads one direction across cores; be
-        # conservative and assume the bottleneck stage set runs on one core.
+        # Assume the busiest domain's stages run on one core, as a single
+        # flow's would; concurrent messages spread over more.
         return model.freq_hz / worst

@@ -5,8 +5,9 @@ Ordering contract: events run in ``(time, priority, seq)`` order, where
 already-processed events) before ordinary ones at the same instant and
 ``seq`` is a global insertion counter, so same-instant ties resolve
 first-scheduled-first.  Every optimisation in the kernel must keep this
-order exactly; see :meth:`repro.sim.CpuResource._finish` for the one
-place that runs an event's callbacks without a heap round trip.
+order exactly; :meth:`repro.sim.CpuResource._finish` and the datapath's
+stage walker (:mod:`repro.net.transfer`) are the places that run an
+event's callbacks without a heap round trip.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class Environment:
         ----------
         until:
             ``None`` — run to exhaustion; a number — run to that time;
-            an :class:`Event` — run until it triggers and return its value.
+            an :class:`Event` — run until it is processed and return its
+            value, or raise its exception if it failed.
         """
         if until is None:
             while self._heap:
@@ -126,18 +128,16 @@ class Environment:
 
         if isinstance(until, Event):
             sentinel = until
-            stopped = []
-
-            def _stop(event: Event) -> None:
-                stopped.append(event)
-
-            if sentinel.callbacks is None:
-                return sentinel._value
-            sentinel.callbacks.append(_stop)
-            while self._heap and not stopped:
-                self.step()
-            if not stopped:
-                raise SimulationError("run(until=event): schedule emptied first")
+            if sentinel.callbacks is not None:
+                stopped: list[Event] = []
+                sentinel.callbacks.append(stopped.append)
+                while self._heap and not stopped:
+                    self.step()
+                if not stopped:
+                    raise SimulationError(
+                        "run(until=event): schedule emptied first")
+            # Processed before or during this run: a failure raises
+            # either way.
             if not sentinel._ok:
                 raise sentinel._value
             return sentinel._value

@@ -19,7 +19,8 @@ class Store:
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
+        # Written so that NaN fails too: NaN compares false either way.
+        if not capacity > 0:
             raise SimulationError(f"store capacity must be positive: {capacity!r}")
         self.env = env
         self.capacity = capacity
@@ -87,7 +88,8 @@ class _Job:
     #: it used to be, so traces keep their shape.
     step_name = "Timeout"
 
-    def __init__(self, cycles: float, account: str, done: Event, enqueued_at: float):
+    def __init__(self, cycles: float, account: str, done: t.Any,
+                 enqueued_at: float):
         self.cycles = cycles
         self.account = account
         self.done = done
@@ -136,13 +138,20 @@ class CpuResource:
         self._finish_callbacks = (self._finish,)
 
     # -- job submission -------------------------------------------------
-    def execute(self, cycles: float, account: str = "usr") -> Event:
-        """Submit a job of *cycles*; the event succeeds when it finishes."""
+    def execute(self, cycles: float, account: str = "usr",
+                _target: t.Any = None) -> Event:
+        """Submit a job of *cycles*; the event succeeds when it finishes.
+
+        *_target* is internal: an object that stands in for the event
+        (the datapath's stage walker) and is returned instead.  It gets
+        the same completion as an event: ``succeed()`` when ``_finish``
+        must go through the heap, its ``callbacks`` run inline otherwise.
+        """
         # Written so that NaN fails too: NaN compares false either way.
         if not cycles >= 0:
             raise SimulationError(f"negative cycles: {cycles!r}")
         env = self.env
-        done = Event(env)
+        done = Event(env) if _target is None else _target
         job = _Job(float(cycles), account, done, env._now)
         if self._idle > 0:
             self._start(job)
@@ -185,7 +194,8 @@ class CpuResource:
         # very next event popped: run its callbacks here instead of
         # pushing it and popping it straight back.  The (time, priority,
         # seq) order of everything else is unchanged.  Traced runs keep
-        # the push so that their sim.step spans stay the same.
+        # the push so that their sim.step spans stay the same.  The same
+        # rule serves an event and an ``execute`` target.
         done._value = None
         callbacks = done.callbacks
         done.callbacks = None

@@ -158,6 +158,19 @@ def test_run_until_event_returns_value():
     assert env.now == 1.5
 
 
+def test_run_until_failed_event_raises_even_when_already_processed():
+    env = Environment()
+    ev = env.event()
+    ev.fail(RuntimeError("boom"))
+    ev.defuse()
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=ev)
+    assert ev.processed
+    # The early exit for a processed event used to return the exception.
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=ev)
+
+
 def test_run_until_never_triggering_event_raises():
     env = Environment()
     ev = env.event()

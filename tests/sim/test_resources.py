@@ -84,6 +84,13 @@ class TestStore:
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
 
+    def test_nan_capacity_rejected(self):
+        # NaN slips past a plain ``capacity <= 0`` check, and every put
+        # on the store would then block forever.
+        env = Environment()
+        with pytest.raises(SimulationError):
+            Store(env, capacity=float("nan"))
+
     def test_len_and_items(self):
         env = Environment()
         store = Store(env)
