@@ -19,7 +19,7 @@ import pathlib
 from repro import obs
 from repro.core import DeploymentMode, build_scenario
 from repro.core.testbed import default_testbed
-from repro.obs.export import summary, write_chrome_trace
+from repro.obs.export import iter_records, summary, write_chrome_trace
 
 MESSAGE = 1280
 
@@ -37,7 +37,8 @@ def trace(mode: DeploymentMode, out: pathlib.Path | None) -> tuple[int, float]:
               f"{len(stages)} traced stages, {cycles:.0f} cycles ==")
         print(summary(tracer, top=12))
         if out is not None:
-            path = write_chrome_trace(tracer, out / f"{mode.value}.trace.json")
+            path = write_chrome_trace(iter_records(tracer),
+                                      out / f"{mode.value}.trace.json")
             print(f"[wrote {path} — open in https://ui.perfetto.dev]")
         print()
         return len(stages), cycles

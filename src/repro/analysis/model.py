@@ -6,7 +6,7 @@ import dataclasses
 import typing as t
 
 from repro.net.path import Datapath
-from repro.net.transfer import TransferEngine
+from repro.net.transfer import TransferEngine, stage_plan
 
 #: Mirrors the TCP ACK cadence of the netperf stream workload.
 ACK_EVERY = 2
@@ -23,13 +23,12 @@ def _domain_seconds(
 ) -> dict[str, float]:
     """Busy seconds per CPU domain for one message on *path*."""
     busy = into if into is not None else {}
-    segments = path.segments_for(nbytes)
-    for stage in path.stages:
-        cost = engine.cost_model[stage.stage]
-        packets = 1 if cost.per_message else segments
-        cycles = cost.cycles(packets, nbytes, batched=stream) * stage.multiplier
-        pool = engine.cpu(stage.domain)
-        busy[stage.domain] = busy.get(stage.domain, 0.0) + (
+    for _, domain, _, _, cycles, _ in stage_plan(
+            path, nbytes, stream, engine.cost_model):
+        # ``engine.cpu`` also creates the lazy kernel-thread CPUs the
+        # DES will use, in stage order, before it runs.
+        pool = engine.cpu(domain)
+        busy[domain] = busy.get(domain, 0.0) + (
             weight * cycles / pool.freq_hz
         )
     return busy
@@ -38,17 +37,10 @@ def _domain_seconds(
 def pipeline_latency(engine: TransferEngine, path: Datapath,
                      nbytes: int, stream: bool) -> float:
     """Uncontended time for one message to traverse the whole path."""
-    segments = path.segments_for(nbytes)
     total = 0.0
-    for stage in path.stages:
-        cost = engine.cost_model[stage.stage]
-        packets = 1 if cost.per_message else segments
-        cycles = cost.cycles(packets, nbytes, batched=stream) * stage.multiplier
-        pool = engine.cpu(stage.domain)
-        total += cycles / pool.freq_hz
-        wakeup = cost.wakeup_s
-        if stream and cost.batch_factor > 1.0:
-            wakeup = wakeup / cost.batch_factor
+    for _, domain, _, _, cycles, wakeup in stage_plan(
+            path, nbytes, stream, engine.cost_model):
+        total += cycles / engine.cpu(domain).freq_hz
         total += wakeup
     return total
 

@@ -30,11 +30,7 @@ from repro.campaign.pool import Task, WorkerPool
 from repro.campaign.spec import CampaignSpec, JobSpec
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import ExperimentResult
-from repro.obs.export import (
-    iter_records,
-    write_records_chrome_trace,
-    write_records_jsonl,
-)
+from repro.obs.export import iter_records
 from repro.obs.metrics import merge_snapshots, render_snapshot
 
 Progress = t.Optional[t.Callable[[str], None]]
@@ -220,7 +216,13 @@ def run_campaign(
         merged_trace = _merge_traces(
             [jobspecs[i] for i in misses], payloads
         )
-        trace_files = _write_trace(merged_trace, pathlib.Path(trace_dir))
+        from repro.harness.registry import write_trace_files
+
+        trace_files = write_trace_files(
+            trace_dir, "campaign", merged_trace.records,
+            render_snapshot(merged_trace.metrics_snapshot),
+            merged_trace.run_names,
+        )
 
     return CampaignReport(
         outcomes=tuple(t.cast("list[JobOutcome]", outcomes)),
@@ -261,18 +263,3 @@ def _merge_traces(
         metrics_snapshot=merge_snapshots(snapshots),
         run_names=run_names,
     )
-
-
-def _write_trace(
-    trace: CampaignTrace, trace_dir: pathlib.Path
-) -> tuple[pathlib.Path, ...]:
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    chrome = write_records_chrome_trace(
-        trace.records, trace_dir / "campaign.trace.json", trace.run_names
-    )
-    spans = write_records_jsonl(
-        trace.records, trace_dir / "campaign.spans.jsonl"
-    )
-    metrics = trace_dir / "campaign.metrics.txt"
-    metrics.write_text(render_snapshot(trace.metrics_snapshot))
-    return (chrome, spans, metrics)

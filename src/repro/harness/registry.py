@@ -11,7 +11,12 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.net import capture as net_capture
 from repro.net import flows as net_flows
-from repro.obs.export import summary, write_chrome_trace, write_spans_jsonl
+from repro.obs.export import (
+    iter_records,
+    summary,
+    write_chrome_trace,
+    write_spans_jsonl,
+)
 from repro.obs.pcap import write_pcapng
 from repro.harness import (
     ablations,
@@ -170,32 +175,52 @@ def run_experiment_traced(
     ``trace_event`` format — open in Perfetto), ``.spans.jsonl`` (the
     raw span dump) and ``.metrics.txt`` (the metrics registry).
     """
-    trace_dir = pathlib.Path(trace_dir)
-    trace_dir.mkdir(parents=True, exist_ok=True)
     effective = dict(DEFAULT_TRACE_SAMPLING if sampling is None else sampling)
     with obs.capture(sampling=effective) as (tracer, metrics):
         result = run_experiment(experiment, config)
-        artifacts = TraceArtifacts(
-            chrome_path=write_chrome_trace(
-                tracer, trace_dir / f"{experiment}.trace.json"
-            ),
-            spans_path=write_spans_jsonl(
-                tracer, trace_dir / f"{experiment}.spans.jsonl"
-            ),
-            metrics_path=_write_metrics(
-                metrics, trace_dir / f"{experiment}.metrics.txt"
-            ),
-            summary=summary(tracer, metrics=metrics),
-            span_count=len(tracer.spans),
-            event_count=len(tracer.events),
-        )
+        artifacts = _trace_artifacts(tracer, metrics, trace_dir, experiment)
     return result, artifacts
 
 
-def _write_metrics(metrics: "obs.MetricsRegistry",
-                   path: pathlib.Path) -> pathlib.Path:
-    path.write_text(metrics.render_text())
-    return path
+def write_trace_files(
+    trace_dir: str | pathlib.Path,
+    stem: str,
+    records: t.Sequence[t.Mapping[str, t.Any]],
+    metrics_text: str,
+    run_names: t.Mapping[int, str] | None = None,
+) -> tuple[pathlib.Path, pathlib.Path, pathlib.Path]:
+    """Write ``<stem>.trace.json``, ``.spans.jsonl`` and ``.metrics.txt``.
+
+    The one writer of a traced run's files, for single experiments and
+    merged campaigns alike; returns the three paths in that order.
+    """
+    trace_dir = pathlib.Path(trace_dir)
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = trace_dir / f"{stem}.metrics.txt"
+    metrics_path.write_text(metrics_text)
+    return (
+        write_chrome_trace(records, trace_dir / f"{stem}.trace.json",
+                           run_names),
+        write_spans_jsonl(records, trace_dir / f"{stem}.spans.jsonl"),
+        metrics_path,
+    )
+
+
+def _trace_artifacts(tracer: "obs.Tracer", metrics: "obs.MetricsRegistry",
+                     trace_dir: str | pathlib.Path,
+                     experiment: str) -> TraceArtifacts:
+    chrome, spans, metrics_path = write_trace_files(
+        trace_dir, experiment, list(iter_records(tracer)),
+        metrics.render_text(),
+    )
+    return TraceArtifacts(
+        chrome_path=chrome,
+        spans_path=spans,
+        metrics_path=metrics_path,
+        summary=summary(tracer, metrics=metrics),
+        span_count=len(tracer.spans),
+        event_count=len(tracer.events),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,20 +276,8 @@ def run_experiment_captured(
         if flows:
             flows_path = trace_dir / f"{experiment}.flows.txt"
             flows_path.write_text(top_flows + "\n")
-        trace_artifacts = TraceArtifacts(
-            chrome_path=write_chrome_trace(
-                tracer, trace_dir / f"{experiment}.trace.json"
-            ),
-            spans_path=write_spans_jsonl(
-                tracer, trace_dir / f"{experiment}.spans.jsonl"
-            ),
-            metrics_path=_write_metrics(
-                metrics, trace_dir / f"{experiment}.metrics.txt"
-            ),
-            summary=summary(tracer, metrics=metrics),
-            span_count=len(tracer.spans),
-            event_count=len(tracer.events),
-        )
+        trace_artifacts = _trace_artifacts(
+            tracer, metrics, trace_dir, experiment)
     capture_artifacts = CaptureArtifacts(
         pcap_path=pcap_path,
         flows_path=flows_path,

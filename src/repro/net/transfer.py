@@ -34,8 +34,8 @@ if t.TYPE_CHECKING:  # pragma: no cover
 _PLAN_MEMO_SIZE = 256
 
 
-def _stage_plan(path: Datapath, nbytes: int, batched: bool,
-                model: CostModel) -> tuple[tuple, ...]:
+def stage_plan(path: Datapath, nbytes: int, batched: bool,
+               model: CostModel) -> tuple[tuple, ...]:
     """``(stage, domain, label, account, cycles, wakeup_s)`` per stage.
 
     Domains stay names, so planning creates no lazy kernel-thread CPU.
@@ -320,7 +320,7 @@ class TransferEngine:
             if len(self._plans) >= _PLAN_MEMO_SIZE:
                 self._plans.clear()
             memo = self._plans[key] = (
-                path, model, _stage_plan(path, nbytes, stream, model))
+                path, model, stage_plan(path, nbytes, stream, model))
         walker = _StageWalker(self, path, nbytes, stream, memo[2], timings)
         if walker.run():
             walker.waiter = waiter = Event(self.env)
@@ -384,7 +384,7 @@ class TransferEngine:
         """
         model = cost_model or self.cost_model
         total = 0.0
-        for *_, cycles, wakeup in _stage_plan(path, nbytes, False, model):
+        for *_, cycles, wakeup in stage_plan(path, nbytes, False, model):
             total += cycles / model.freq_hz + wakeup
         return total
 
@@ -401,7 +401,7 @@ class TransferEngine:
         """
         model = cost_model or self.cost_model
         per_domain: dict[str, float] = {}
-        for _, domain, _, _, cycles, _ in _stage_plan(path, nbytes, True, model):
+        for _, domain, _, _, cycles, _ in stage_plan(path, nbytes, True, model):
             per_domain[domain] = per_domain.get(domain, 0.0) + cycles
         worst = max(per_domain.values())
         if worst <= 0.0:

@@ -15,7 +15,9 @@ tracing is one call::
     with obs.capture() as (tr, mx):
         tb = default_testbed(seed=1, vms=2)      # env adopts the tracer
         ...run experiments...
-    export.write_chrome_trace(tr, "out/run.trace.json")
+    records = list(export.iter_records(tr))   # plain dicts, reusable
+    export.write_chrome_trace(records, "out/run.trace.json")
+    export.write_spans_jsonl(records, "out/run.spans.jsonl")
 
 Install the tracer *before* building environments:
 :class:`repro.sim.Environment` snapshots the active tracer at

@@ -173,21 +173,6 @@ class SpanRecord:
             doc["tags"] = self.tags
         return doc
 
-    @classmethod
-    def from_doc(cls, doc: t.Mapping[str, t.Any]) -> "SpanRecord":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            span_id=str(doc["span_id"]),
-            name=str(doc["name"]),
-            start_s=float(doc["start_s"]),
-            end_s=float(doc["end_s"]),
-            parent_id=(str(doc["parent_id"])
-                       if doc.get("parent_id") is not None else None),
-            kind=str(doc.get("kind", "service")),
-            worker=str(doc.get("worker", "service")),
-            tags=dict(doc.get("tags") or {}),
-        )
-
 
 class TraceStore:
     """Bounded per-trace span storage; oldest whole traces evicted.
@@ -309,8 +294,7 @@ def critical_path(spans: t.Sequence[SpanRecord]) -> dict[str, t.Any]:
 def sim_records_to_spans(
     records: t.Iterable[t.Mapping[str, t.Any]],
     *, trace_id: str, parent_span_id: str, worker: str,
-    limit: int = 2048,
-) -> tuple[list[SpanRecord], bool]:
+) -> list[SpanRecord]:
     """Bridge sim-tracer records into distributed child spans.
 
     *records* are the plain dicts :func:`repro.obs.export.iter_records`
@@ -318,14 +302,11 @@ def sim_records_to_spans(
     data, never live objects).  Sim span ids are namespaced under the
     worker span id so two attempts of the same job cannot collide;
     parent links inside the sim tree are preserved, and sim roots hang
-    off the worker span.  Returns ``(spans, truncated)``.
+    off the worker span.  The worker already capped the records it
+    shipped (``repro.service.jobs.TRACE_RECORD_LIMIT``).
     """
     spans: list[SpanRecord] = []
-    truncated = False
     for record in records:
-        if len(spans) >= limit:
-            truncated = True
-            break
         sid = record.get("sid")
         if sid is None:
             continue
@@ -348,4 +329,4 @@ def sim_records_to_spans(
             worker=worker,
             tags=tags,
         ))
-    return spans, truncated
+    return spans

@@ -1,13 +1,20 @@
 """Trace exporters: JSON-Lines, Chrome ``trace_event``, text summary.
 
+Every file exporter reads *plain span records*: the dicts
+:func:`span_record` / :func:`iter_records` make from a tracer, which is
+also what a campaign worker ships back over a queue and what a
+``.spans.jsonl`` file holds.  A caller with a live tracer converts once
+(``records = list(iter_records(tracer))``) and hands the same list to
+each writer.
+
 * :func:`write_spans_jsonl` — one JSON object per span/event, the
   machine-readable archive format.
-* :func:`write_chrome_trace` — the Chrome ``trace_event`` JSON object
-  format; the file opens directly in Perfetto (https://ui.perfetto.dev)
-  or ``chrome://tracing``.  Each simulation environment becomes a
-  "process"; each CPU domain (or category, for spans without a domain
-  attribute) becomes a "thread", so concurrent transfers render as
-  parallel tracks.
+* :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
+  ``trace_event`` JSON object format; the file opens directly in
+  Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Each
+  simulation run becomes a "process"; each CPU domain (or category,
+  for spans without a domain attribute) becomes a "thread" of it, so
+  concurrent transfers render as parallel tracks.
 * :func:`distributed_chrome_trace` — the service's merged distributed
   trace (``GET /jobs/<id>/trace``) as trace_event JSON: one Perfetto
   "process" row per participant (``http``, ``service``, each shard,
@@ -17,8 +24,9 @@
 * :func:`summary` — a plain-text top-N table by total simulated time,
   the quick where-did-the-cycles-go answer.
 
-Timestamps are simulated seconds; the Chrome export scales them to the
-format's microseconds.
+Both Chrome exports go through one event builder, which names each
+process once and each ``(process, track)`` thread once.  Timestamps are
+seconds; the Chrome export scales them to the format's microseconds.
 """
 
 from __future__ import annotations
@@ -28,9 +36,7 @@ import pathlib
 import typing as t
 
 from repro.obs.metrics import Counter, MetricsRegistry, _label_text
-from repro.obs.trace import NullTracer, Span, Tracer
-
-TracerLike = t.Union[Tracer, NullTracer]
+from repro.obs.trace import Span, TracerLike
 
 #: Simulated seconds → trace_event microseconds.
 _US = 1e6
@@ -65,69 +71,62 @@ def iter_records(tracer: TracerLike) -> t.Iterator[dict[str, t.Any]]:
         yield span_record(span, kind)
 
 
-def write_spans_jsonl(tracer: TracerLike, path: str | pathlib.Path) -> pathlib.Path:
-    """Write the JSON-Lines span dump; returns the path."""
+def write_spans_jsonl(records: t.Iterable[t.Mapping[str, t.Any]],
+                      path: str | pathlib.Path) -> pathlib.Path:
+    """Write span records as JSON-Lines; returns the path."""
     path = pathlib.Path(path)
     with path.open("w") as fh:
-        for record in iter_records(tracer):
+        for record in records:
             fh.write(json.dumps(record, default=str))
             fh.write("\n")
     return path
 
 
-def _track_of(span: Span) -> str:
-    domain = span.attrs.get("domain")
-    return str(domain) if domain is not None else span.category
+#: One X/i event for :func:`_trace_events`: ``(pid, process name,
+#: track, name, cat, ts, dur, args)``, times in seconds and ``dur``
+#: ``None`` for an instant.
+_Row = tuple[int, str, str, str, str, float, t.Optional[float],
+             dict[str, t.Any]]
 
 
-def chrome_trace(tracer: TracerLike) -> dict[str, t.Any]:
-    """The trace as a Chrome ``trace_event`` JSON object."""
+def _trace_events(rows: t.Iterable[_Row], instant_scope: str,
+                  sort_processes: bool = False) -> dict[str, t.Any]:
+    """The one Chrome ``trace_event`` builder.
+
+    Emits a ``process_name`` (and, with *sort_processes*, a
+    ``process_sort_index``) the first time a pid appears and a
+    ``thread_name`` the first time a ``(pid, track)`` pair does; thread
+    ids count from 1 within each pid.
+    """
     events: list[dict[str, t.Any]] = []
-    tids: dict[str, int] = {}
-    named_runs: set[int] = set()
-
-    def tid_for(run: int, track: str) -> int:
-        tid = tids.get(track)
-        if tid is None:
-            tid = tids[track] = len(tids) + 1
+    tids: dict[tuple[int, str], int] = {}
+    threads: dict[int, int] = {}
+    for pid, process, track, name, cat, ts, dur, args in rows:
+        if pid not in threads:
+            threads[pid] = 0
             events.append({
-                "ph": "M", "name": "thread_name", "pid": run, "tid": tid,
+                "ph": "M", "name": "process_name", "pid": pid,
+                "args": {"name": process},
+            })
+            if sort_processes:
+                events.append({
+                    "ph": "M", "name": "process_sort_index", "pid": pid,
+                    "args": {"sort_index": pid},
+                })
+        tid = tids.get((pid, track))
+        if tid is None:
+            tid = tids[(pid, track)] = threads[pid] = threads[pid] + 1
+            events.append({
+                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
                 "args": {"name": track},
             })
-        return tid
-
-    def name_run(run: int) -> None:
-        if run not in named_runs:
-            named_runs.add(run)
-            events.append({
-                "ph": "M", "name": "process_name", "pid": run,
-                "args": {"name": f"sim-run-{run}"},
-            })
-
-    for span in tracer.spans:
-        name_run(span.run)
-        events.append({
-            "name": span.name,
-            "cat": span.category,
-            "ph": "X",
-            "ts": span.start * _US,
-            "dur": span.duration * _US,
-            "pid": span.run,
-            "tid": tid_for(span.run, _track_of(span)),
-            "args": {k: _arg(v) for k, v in span.attrs.items()},
-        })
-    for event in tracer.events:
-        name_run(event.run)
-        events.append({
-            "name": event.name,
-            "cat": event.category,
-            "ph": "i",
-            "s": "t",
-            "ts": event.start * _US,
-            "pid": event.run,
-            "tid": tid_for(event.run, _track_of(event)),
-            "args": {k: _arg(v) for k, v in event.attrs.items()},
-        })
+        event = {"name": name, "cat": cat, "ts": ts * _US, "pid": pid,
+                 "tid": tid, "args": args}
+        if dur is None:
+            event.update(ph="i", s=instant_scope)
+        else:
+            event.update(ph="X", dur=dur * _US)
+        events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -137,81 +136,48 @@ def _arg(value: t.Any) -> t.Any:
     return str(value)
 
 
-def write_chrome_trace(tracer: TracerLike,
-                       path: str | pathlib.Path) -> pathlib.Path:
-    """Write the Chrome/Perfetto trace JSON; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(chrome_trace(tracer)))
-    return path
-
-
-def records_chrome_trace(
+def chrome_trace(
     records: t.Iterable[t.Mapping[str, t.Any]],
     run_names: t.Mapping[int, str] | None = None,
 ) -> dict[str, t.Any]:
-    """A Chrome ``trace_event`` object built from plain span records.
+    """Span records as a Chrome ``trace_event`` object.
 
-    The records are the dicts produced by :func:`span_record` /
-    :func:`iter_records` — i.e. what a campaign worker ships back over
-    a queue, or what a ``.spans.jsonl`` file contains.  Working on
-    plain data instead of a live :class:`Tracer` is what makes traces
-    *mergeable*: the campaign runner re-numbers each worker's ``run``
-    ids into one namespace, concatenates the records, and exports the
-    union as a single file with one Perfetto "process" per run.
+    Working on plain records instead of a live :class:`Tracer` is what
+    makes traces *mergeable*: the campaign runner re-numbers each
+    worker's ``run`` ids into one namespace, concatenates the records,
+    and exports the union as a single file with one Perfetto "process"
+    per run.
 
     ``run_names`` optionally labels runs (``{run: "fig04@quick/r1"}``);
     unlisted runs fall back to ``sim-run-<n>``.
     """
-    names = dict(run_names or {})
-    events: list[dict[str, t.Any]] = []
-    tids: dict[str, int] = {}
-    named_runs: set[int] = set()
+    names = run_names or {}
 
-    def tid_for(run: int, track: str) -> int:
-        tid = tids.get(track)
-        if tid is None:
-            tid = tids[track] = len(tids) + 1
-            events.append({
-                "ph": "M", "name": "thread_name", "pid": run, "tid": tid,
-                "args": {"name": track},
-            })
-        return tid
+    def rows() -> t.Iterator[_Row]:
+        for record in records:
+            run = int(record.get("run", 0))
+            attrs = record.get("attrs") or {}
+            domain = attrs.get("domain")
+            yield (
+                run, names.get(run, f"sim-run-{run}"),
+                str(domain) if domain is not None else record["cat"],
+                record["name"], record["cat"], float(record["ts"]),
+                (None if record.get("kind") == "event"
+                 else float(record.get("dur", 0.0))),
+                {k: _arg(v) for k, v in attrs.items()},
+            )
 
-    for record in records:
-        run = int(record.get("run", 0))
-        if run not in named_runs:
-            named_runs.add(run)
-            events.append({
-                "ph": "M", "name": "process_name", "pid": run,
-                "args": {"name": names.get(run, f"sim-run-{run}")},
-            })
-        attrs = record.get("attrs") or {}
-        track = str(attrs["domain"]) if "domain" in attrs else record["cat"]
-        base = {
-            "name": record["name"],
-            "cat": record["cat"],
-            "ts": float(record["ts"]) * _US,
-            "pid": run,
-            "tid": tid_for(run, track),
-            "args": {k: _arg(v) for k, v in attrs.items()},
-        }
-        if record.get("kind") == "event":
-            events.append({**base, "ph": "i", "s": "t"})
-        else:
-            events.append({
-                **base, "ph": "X", "dur": float(record.get("dur", 0.0)) * _US,
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return _trace_events(rows(), instant_scope="t")
 
 
-def write_records_chrome_trace(
+def write_chrome_trace(
     records: t.Iterable[t.Mapping[str, t.Any]],
     path: str | pathlib.Path,
     run_names: t.Mapping[int, str] | None = None,
 ) -> pathlib.Path:
-    """Write :func:`records_chrome_trace` output; returns the path."""
+    """Write :func:`chrome_trace` output; returns the path."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(records_chrome_trace(records, run_names)))
+    path.write_text(json.dumps(chrome_trace(records, run_names)))
     return path
 
 
@@ -233,101 +199,39 @@ def distributed_chrome_trace(
     engine's timeline renders *inside* the worker execution that
     produced it, sharing one clock axis.
     """
-    spans = [dict(span) for span in trace_doc.get("spans", [])]
-    events: list[dict[str, t.Any]] = []
-    if not spans:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
+    spans = trace_doc.get("spans", [])
     wall_starts = [s["start_s"] for s in spans if s.get("kind") != "sim"]
     t0 = min(wall_starts) if wall_starts else 0.0
     by_id = {s["span_id"]: s for s in spans}
-
     pids: dict[str, int] = {}
-    tids: dict[tuple[int, str], int] = {}
 
-    def pid_for(worker: str) -> int:
-        pid = pids.get(worker)
-        if pid is None:
-            pid = pids[worker] = len(pids) + 1
-            events.append({
-                "ph": "M", "name": "process_name", "pid": pid,
-                "args": {"name": worker},
-            })
-            events.append({
-                "ph": "M", "name": "process_sort_index", "pid": pid,
-                "args": {"sort_index": pid},
-            })
-        return pid
-
-    def tid_for(pid: int, track: str) -> int:
-        tid = tids.get((pid, track))
-        if tid is None:
-            tid = tids[(pid, track)] = (
-                len([k for k in tids if k[0] == pid]) + 1
+    def rows() -> t.Iterator[_Row]:
+        for span in spans:
+            sim = span.get("kind") == "sim"
+            worker = str(span.get("worker", "service"))
+            start = float(span["start_s"])
+            if sim:
+                # Sim span ids are namespaced "<workerspan>.r<run>s<sid>";
+                # the prefix names the wall-clock worker span they nest
+                # under.
+                anchor = by_id.get(str(span["span_id"]).split(".", 1)[0])
+                ts = (float(anchor["start_s"]) if anchor else t0) - t0 + start
+            else:
+                ts = start - t0
+            duration = max(0.0, float(span["end_s"]) - start)
+            args = {k: _arg(v) for k, v in (span.get("tags") or {}).items()}
+            args["span_id"] = span["span_id"]
+            if span.get("parent_id") is not None:
+                args["parent_id"] = span["parent_id"]
+            yield (
+                pids.setdefault(worker, len(pids) + 1), worker,
+                "sim-time" if sim else "wall",
+                span["name"], "sim" if sim else "service", ts,
+                None if duration <= 0.0 and not sim else duration,
+                args,
             )
-            events.append({
-                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                "args": {"name": track},
-            })
-        return tid
 
-    def wall_offset_s(span: t.Mapping[str, t.Any]) -> float:
-        # Sim span ids are namespaced "<workerspan>.r<run>s<sid>"; the
-        # prefix names the wall-clock worker span they nest under.
-        anchor = by_id.get(str(span["span_id"]).split(".", 1)[0])
-        return float(anchor["start_s"]) if anchor else t0
-
-    for span in spans:
-        sim = span.get("kind") == "sim"
-        worker = str(span.get("worker", "service"))
-        pid = pid_for(worker)
-        tid = tid_for(pid, "sim-time" if sim else "wall")
-        start = float(span["start_s"])
-        ts = (start - t0 if not sim
-              else wall_offset_s(span) - t0 + start)
-        duration = max(0.0, float(span["end_s"]) - start)
-        args: dict[str, t.Any] = {
-            k: _arg(v) for k, v in (span.get("tags") or {}).items()
-        }
-        args["span_id"] = span["span_id"]
-        if span.get("parent_id") is not None:
-            args["parent_id"] = span["parent_id"]
-        base = {
-            "name": span["name"],
-            "cat": "sim" if sim else "service",
-            "ts": ts * _US,
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        }
-        if duration <= 0.0 and not sim:
-            events.append({**base, "ph": "i", "s": "p"})
-        else:
-            events.append({**base, "ph": "X", "dur": duration * _US})
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_distributed_chrome_trace(
-    trace_doc: t.Mapping[str, t.Any],
-    path: str | pathlib.Path,
-) -> pathlib.Path:
-    """Write :func:`distributed_chrome_trace` output; returns the path."""
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(distributed_chrome_trace(trace_doc)))
-    return path
-
-
-def write_records_jsonl(
-    records: t.Iterable[t.Mapping[str, t.Any]],
-    path: str | pathlib.Path,
-) -> pathlib.Path:
-    """Write plain span records as JSON-Lines; returns the path."""
-    path = pathlib.Path(path)
-    with path.open("w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, default=str))
-            fh.write("\n")
-    return path
+    return _trace_events(rows(), instant_scope="p", sort_processes=True)
 
 
 def summary(tracer: TracerLike, top: int = 10,

@@ -1019,13 +1019,12 @@ class TraceService:
                        pid=trace_doc.get("pid"),
                        sim_truncated=trace_doc.get("truncated") or None)
             if trace_doc.get("records") and job.trace_id:
-                sim_spans, _truncated = dist.sim_records_to_spans(
+                self.traces.extend(dist.sim_records_to_spans(
                     trace_doc["records"],
                     trace_id=job.trace_id,
                     parent_span_id=worker_span,
                     worker=f"pid-{trace_doc.get('pid', '?')}",
-                )
-                self.traces.extend(sim_spans)
+                ))
             self._worker_wall.observe(
                 payload["wall_s"], **self._metric_labels(job))
             job.result = payload

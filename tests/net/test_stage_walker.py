@@ -41,7 +41,7 @@ def reference_transfer(engine: TransferEngine, path: Datapath, nbytes: int,
                        ) -> t.Generator:
     """The process-driven stage loop: one resume per CPU stage and wakeup."""
     model = cost_model or engine.cost_model
-    plan = transfer_mod._stage_plan(path, nbytes, stream, model)
+    plan = transfer_mod.stage_plan(path, nbytes, stream, model)
     env = engine.env
     tracer = env.tracer
     traced = timings is None and tracer.enabled

@@ -31,6 +31,10 @@ def make_tracer():
     return tr
 
 
+def make_records():
+    return list(iter_records(make_tracer()))
+
+
 class TestSpanRecord:
     def test_record_shape(self):
         tr = make_tracer()
@@ -62,7 +66,7 @@ class TestSpanRecord:
 
 class TestJsonl:
     def test_every_line_parses(self, tmp_path):
-        path = write_spans_jsonl(make_tracer(), tmp_path / "spans.jsonl")
+        path = write_spans_jsonl(make_records(), tmp_path / "spans.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         for line in lines:
@@ -76,13 +80,13 @@ class TestJsonl:
 
         tr = Tracer()
         tr.end(tr.begin("c", "x", obj=Funny()))
-        path = write_spans_jsonl(tr, tmp_path / "s.jsonl")
+        path = write_spans_jsonl(iter_records(tr), tmp_path / "s.jsonl")
         assert json.loads(path.read_text())["attrs"]["obj"] == "funny"
 
 
 class TestChromeTrace:
     def test_structure(self):
-        trace = chrome_trace(make_tracer())
+        trace = chrome_trace(make_records())
         assert set(trace) == {"traceEvents", "displayTimeUnit"}
         events = trace["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -93,27 +97,27 @@ class TestChromeTrace:
         assert all("pid" in e and "tid" in e for e in complete + instants)
 
     def test_timestamps_scaled_to_microseconds(self):
-        trace = chrome_trace(make_tracer())
+        trace = chrome_trace(make_records())
         stage = next(e for e in trace["traceEvents"]
                      if e.get("name") == "vhost_tx")
         assert stage["ts"] == 0.0
         assert stage["dur"] == pytest.approx(10.0)  # 1e-5 s = 10 us
 
     def test_domain_becomes_thread(self):
-        trace = chrome_trace(make_tracer())
+        trace = chrome_trace(make_records())
         names = {e["args"]["name"] for e in trace["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert "kthread:host:vhost:tap0" in names
         assert "datapath.transfer" in names  # no domain -> category track
 
     def test_process_named_per_run(self):
-        trace = chrome_trace(make_tracer())
+        trace = chrome_trace(make_records())
         procs = [e for e in trace["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "process_name"]
         assert procs and procs[0]["args"]["name"] == "sim-run-1"
 
     def test_file_is_valid_json(self, tmp_path):
-        path = write_chrome_trace(make_tracer(), tmp_path / "t.trace.json")
+        path = write_chrome_trace(make_records(), tmp_path / "t.trace.json")
         loaded = json.loads(path.read_text())
         assert isinstance(loaded["traceEvents"], list)
 
@@ -260,15 +264,11 @@ class TestDistributedChromeTrace:
                       if e.get("name") == "sse.notify")
         assert notify["ph"] == "i"
 
-    def test_empty_trace_is_valid_and_writable(self, tmp_path):
-        from repro.obs.export import (
-            distributed_chrome_trace,
-            write_distributed_chrome_trace,
-        )
+    def test_empty_trace_is_valid_and_writable(self):
+        from repro.obs.export import distributed_chrome_trace
 
         assert distributed_chrome_trace({"spans": []})["traceEvents"] == []
-        path = write_distributed_chrome_trace(
-            self.make_trace_doc(), tmp_path / "dist.trace.json")
-        parsed = json.loads(path.read_text())
+        parsed = json.loads(json.dumps(
+            distributed_chrome_trace(self.make_trace_doc())))
         assert parsed["displayTimeUnit"] == "ms"
         assert parsed["traceEvents"]

@@ -7,10 +7,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import capture
 from repro.obs.export import (
+    chrome_trace,
     iter_records,
-    records_chrome_trace,
-    write_records_chrome_trace,
-    write_records_jsonl,
+    write_chrome_trace,
+    write_spans_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, render_snapshot
 
@@ -28,13 +28,13 @@ def make_records():
 class TestRecordExport:
     def test_round_trips_through_jsonl(self, tmp_path):
         records = make_records()
-        path = write_records_jsonl(records, tmp_path / "r.jsonl")
+        path = write_spans_jsonl(records, tmp_path / "r.jsonl")
         reloaded = [json.loads(l) for l in path.read_text().splitlines()]
         assert reloaded == records
 
     def test_chrome_trace_from_records_matches_live_export(self):
         records = make_records()
-        trace = records_chrome_trace(records)
+        trace = chrome_trace(records)
         events = trace["traceEvents"]
         spans = [e for e in events if e.get("ph") == "X"]
         instants = [e for e in events if e.get("ph") == "i"]
@@ -44,7 +44,7 @@ class TestRecordExport:
 
     def test_run_names_label_processes(self, tmp_path):
         records = make_records()
-        path = write_records_chrome_trace(
+        path = write_chrome_trace(
             records, tmp_path / "t.json", run_names={1: "fig04@quick/r1"}
         )
         events = json.loads(path.read_text())["traceEvents"]
@@ -53,9 +53,25 @@ class TestRecordExport:
 
     def test_shifted_runs_stay_disjoint(self):
         shifted = [dict(r, run=r["run"] + 10) for r in make_records()]
-        trace = records_chrome_trace(make_records() + shifted)
+        trace = chrome_trace(make_records() + shifted)
         pids = {e["pid"] for e in trace["traceEvents"]}
         assert {1, 11} <= pids
+
+    def test_every_run_names_its_own_threads(self):
+        """Two runs on one track: each pid names its own thread."""
+        with capture() as (tracer, _):
+            for _ in range(2):
+                tracer.new_run()
+                tracer.end(tracer.begin("cat.a", "stage", domain="host"))
+                tracer.event("cat.b", "tick", domain="host")
+        events = chrome_trace(iter_records(tracer))["traceEvents"]
+        named = {(e["pid"], e["tid"]): e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        used = {(e["pid"], e["tid"]) for e in events if e["ph"] in "Xi"}
+        assert {pid for pid, _ in used} == {1, 2}
+        assert used <= set(named)
+        assert set(named.values()) == {"host"}
+        assert len(named) == 2  # one thread per (pid, track)
 
 
 class TestSnapshotMerge:

@@ -102,6 +102,15 @@ class TestRunPayload:
         with pytest.raises(ServiceError, match="asked to fail"):
             jobs.run_payload("sleep", {"fail": True, "label": "f"})
 
+    def test_worker_caps_shipped_sim_records(self, monkeypatch):
+        monkeypatch.setattr(jobs, "TRACE_RECORD_LIMIT", 5)
+        out = jobs.run_payload(
+            "experiment", {"experiment": "fig08", "preset": "quick"},
+            trace={"trace_id": "t1", "span_id": "w1", "capture_sim": True},
+        )
+        assert len(out["trace"]["records"]) == 5
+        assert out["trace"]["truncated"] is True
+
     def test_trace_job_matches_direct_streaming(self):
         out = jobs.run_payload("trace", {"seed": 5, "users": 300,
                                          "chunk": 128})
