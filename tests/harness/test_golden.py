@@ -39,8 +39,10 @@ MEASURED_META = frozenset({"wall_s", "config_fingerprint", "job_key"})
 
 #: The DES-driven experiments the golden file covers.
 EXPERIMENTS = (
-    "fig02", "fig04", "fig05", "fig10", "fig11_12", "fig14",
-    "netstack", "reliability", "analytic_check",
+    "fig02", "fig04", "fig05", "fig06", "fig07", "fig10", "fig11_12",
+    "fig13", "fig14", "fig15", "netstack", "reliability", "analytic_check",
+    "ablation_hostlo_thread", "ablation_netfilter_cost",
+    "ablation_rule_bloat", "ablation_no_batching",
 )
 
 
