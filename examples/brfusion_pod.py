@@ -9,7 +9,7 @@ fused path saves while Kafka runs.
 Run:  python examples/brfusion_pod.py
 """
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.net.path import resolve_path
 from repro.workloads import KafkaProducerPerf
@@ -39,8 +39,8 @@ def show_protocol() -> None:
 
 def show_paths() -> None:
     print("== the datapath, before and after ==")
-    for mode, label in ((DeploymentMode.NAT, "NAT (nested default)"),
-                        (DeploymentMode.BRFUSION, "BrFusion")):
+    for mode, label in (("nat", "NAT (nested default)"),
+                        ("brfusion", "BrFusion")):
         tb = default_testbed(seed=1, vms=1)
         scenario = build_scenario(tb, mode)
         path = resolve_path(scenario.src_ns, scenario.dst_addr,
@@ -52,13 +52,13 @@ def show_paths() -> None:
 
 def show_cpu_saving() -> None:
     print("== guest softirq CPU while Kafka runs (fig 6's effect) ==")
-    for mode in (DeploymentMode.NAT, DeploymentMode.BRFUSION):
+    for mode in ("nat", "brfusion"):
         tb = default_testbed(seed=1, vms=1)
         scenario = build_scenario(tb, mode, image="kafka", port=9092)
         tb.reset_accounting()
         KafkaProducerPerf().run(scenario, duration_s=0.02)
         soft = tb.breakdowns()[scenario.server_domain].soft
-        print(f"  {mode.value:9s} guest softirq time: {soft * 1e3:.2f} ms")
+        print(f"  {mode:9s} guest softirq time: {soft * 1e3:.2f} ms")
     print("  (BrFusion removed the netfilter/bridge/veth softirq hooks)")
 
 

@@ -8,7 +8,7 @@ compares intra-pod Memcached over hostlo against the alternatives.
 Run:  python examples/cross_vm_pod.py
 """
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.net.path import resolve_path
 from repro.orchestrator.pod import ContainerSpec, PodSpec
@@ -43,13 +43,12 @@ def show_split_deployment() -> None:
 def compare_memcached() -> None:
     print("== intra-pod Memcached (memtier), four ways ==")
     bench = MemtierBenchmark(threads=2, connections_per_thread=25)
-    for mode in (DeploymentMode.SAMENODE, DeploymentMode.HOSTLO,
-                 DeploymentMode.OVERLAY, DeploymentMode.NAT_CROSS):
+    for mode in ("samenode", "hostlo", "overlay", "nat_cross"):
         tb = default_testbed(seed=3, vms=2)
         scenario = build_scenario(tb, mode, image="memcached", port=11211)
         result = bench.run(scenario, duration_s=0.015)
         stats = result.latency
-        print(f"  {mode.value:9s} {result.rate_per_s:9.0f} ops/s   "
+        print(f"  {mode:9s} {result.rate_per_s:9.0f} ops/s   "
               f"latency {stats.mean * 1e6:7.1f} us  (cv {stats.cv:.2f})")
     print("\n  hostlo: near-SameNode service, none of the overlay/NAT pain")
 

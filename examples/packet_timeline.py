@@ -10,13 +10,13 @@ as three extra guest stages on the NAT path.
 Run:  python examples/packet_timeline.py
 """
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 
 MESSAGE = 1280
 
 
-def show(mode: DeploymentMode) -> float:
+def show(mode: str) -> float:
     tb = default_testbed(seed=11, vms=1)
     scenario = build_scenario(tb, mode)
     forward, _ = scenario.paths("udp")
@@ -24,7 +24,7 @@ def show(mode: DeploymentMode) -> float:
 
     t0 = timeline[0].started_at
     total = timeline[-1].finished_at - t0
-    print(f"== {mode.value}: one {MESSAGE} B request, "
+    print(f"== {mode}: one {MESSAGE} B request, "
           f"{len(timeline)} stages, {total * 1e6:.1f} us ==")
     print(f"{'t (us)':>8}  {'stage':<14} {'runs on':<24} "
           f"{'cpu (us)':>9} {'defer (us)':>10}")
@@ -37,8 +37,8 @@ def show(mode: DeploymentMode) -> float:
 
 
 def main() -> None:
-    nat = show(DeploymentMode.NAT)
-    brf = show(DeploymentMode.BRFUSION)
+    nat = show("nat")
+    brf = show("brfusion")
     print(f"one-way latency: NAT {nat * 1e6:.1f} us vs "
           f"BrFusion {brf * 1e6:.1f} us "
           f"({1 - brf / nat:.0%} saved by fusing the bridges)")

@@ -10,14 +10,14 @@ few seconds.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
 
 MESSAGE_SIZE = 1280  # the paper's headline size
 
 
-def measure(mode: DeploymentMode) -> tuple[float, float]:
+def measure(mode: str) -> tuple[float, float]:
     """(throughput Mbps, mean RR latency µs) for one deployment mode."""
     tb = default_testbed(seed=42, vms=2)
     scenario = build_scenario(tb, mode)
@@ -34,16 +34,15 @@ def measure(mode: DeploymentMode) -> tuple[float, float]:
 def main() -> None:
     print(f"netperf, {MESSAGE_SIZE} B messages, client on the host:\n")
     results = {}
-    for mode in (DeploymentMode.NAT, DeploymentMode.BRFUSION,
-                 DeploymentMode.NOCONT):
+    for mode in ("nat", "brfusion", "nocont"):
         throughput, latency = measure(mode)
         results[mode] = (throughput, latency)
-        print(f"  {mode.value:9s} throughput {throughput:8.0f} Mbps   "
+        print(f"  {mode:9s} throughput {throughput:8.0f} Mbps   "
               f"latency {latency:6.1f} us")
 
-    nat_thr, nat_lat = results[DeploymentMode.NAT]
-    brf_thr, brf_lat = results[DeploymentMode.BRFUSION]
-    nocont_thr, _ = results[DeploymentMode.NOCONT]
+    nat_thr, nat_lat = results["nat"]
+    brf_thr, brf_lat = results["brfusion"]
+    nocont_thr, _ = results["nocont"]
     print()
     print(f"BrFusion vs NAT:     {brf_thr / nat_thr:.1f}x throughput, "
           f"{1 - brf_lat / nat_lat:.0%} lower latency")

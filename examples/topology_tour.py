@@ -8,16 +8,16 @@ stack at a glance.
 Run:  python examples/topology_tour.py
 """
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.net.inspect import describe_testbed
 
 
 def main() -> None:
     tb = default_testbed(seed=2, vms=2)
-    build_scenario(tb, DeploymentMode.NAT, port=8080)
-    build_scenario(tb, DeploymentMode.BRFUSION, port=8081)
-    build_scenario(tb, DeploymentMode.HOSTLO, port=11211)
+    build_scenario(tb, "nat", port=8080)
+    build_scenario(tb, "brfusion", port=8081)
+    build_scenario(tb, "hostlo", port=11211)
     print(describe_testbed(tb))
 
 

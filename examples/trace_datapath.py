@@ -17,14 +17,14 @@ import argparse
 import pathlib
 
 from repro import obs
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.obs.export import iter_records, summary, write_chrome_trace
 
 MESSAGE = 1280
 
 
-def trace(mode: DeploymentMode, out: pathlib.Path | None) -> tuple[int, float]:
+def trace(mode: str, out: pathlib.Path | None) -> tuple[int, float]:
     with obs.capture() as (tracer, _metrics):
         tb = default_testbed(seed=11, vms=1)
         scenario = build_scenario(tb, mode)
@@ -33,12 +33,12 @@ def trace(mode: DeploymentMode, out: pathlib.Path | None) -> tuple[int, float]:
 
         stages = tracer.spans_in("datapath.stage")
         cycles = sum(s.attrs["cycles"] for s in stages)
-        print(f"== {mode.value}: one {MESSAGE} B request, "
+        print(f"== {mode}: one {MESSAGE} B request, "
               f"{len(stages)} traced stages, {cycles:.0f} cycles ==")
         print(summary(tracer, top=12))
         if out is not None:
             path = write_chrome_trace(iter_records(tracer),
-                                      out / f"{mode.value}.trace.json")
+                                      out / f"{mode}.trace.json")
             print(f"[wrote {path} — open in https://ui.perfetto.dev]")
         print()
         return len(stages), cycles
@@ -54,8 +54,8 @@ def main() -> None:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
-    nat_stages, nat_cycles = trace(DeploymentMode.NAT, out)
-    brf_stages, brf_cycles = trace(DeploymentMode.BRFUSION, out)
+    nat_stages, nat_cycles = trace("nat", out)
+    brf_stages, brf_cycles = trace("brfusion", out)
     print(f"stage spans: NAT {nat_stages} vs BrFusion {brf_stages} "
           f"({nat_stages - brf_stages} stages fused away); "
           f"cycles: NAT {nat_cycles:.0f} vs BrFusion {brf_cycles:.0f} "

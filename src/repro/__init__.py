@@ -11,7 +11,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.sim` — the discrete-event kernel everything runs on.
 """
 
-from repro.core import DeploymentMode, Scenario, Testbed, build_scenario
+from repro.core import Scenario, Testbed, build_scenario
 from repro.core.testbed import default_testbed
 from repro.errors import ReproError
 from repro.harness import ExperimentConfig, ExperimentResult, run_experiment
@@ -19,7 +19,6 @@ from repro.harness import ExperimentConfig, ExperimentResult, run_experiment
 __version__ = "1.0.0"
 
 __all__ = [
-    "DeploymentMode",
     "ExperimentConfig",
     "ExperimentResult",
     "ReproError",

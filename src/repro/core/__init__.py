@@ -2,22 +2,24 @@
 
 :class:`Testbed` assembles the whole simulated server — physical host,
 VMM, orchestrator, benchmark client, transfer engine — in the shape of
-the paper's §5.1 environment.  :mod:`repro.core.scenario` then builds
-the six deployment configurations the evaluation compares:
+the paper's §5.1 environment.  :func:`build_scenario` then deploys one
+of the seven configurations the evaluation compares, named by a key of
+the :data:`~repro.core.scenario.MODES` table:
 
 ===========  ==================================================
 mode         meaning (paper terminology)
 ===========  ==================================================
-NAT          nested default: Docker bridge+NAT inside the VM
-BRFUSION     §3: per-pod NIC on the host bridge
-NOCONT       no nested virtualization (app native in the VM)
-SAMENODE     whole pod in one VM, localhost communication
-HOSTLO       §4: pod split across VMs over the hostlo device
-OVERLAY      pod split across VMs over Docker Overlay (VXLAN)
+nat          nested default: Docker bridge+NAT inside the VM
+brfusion     §3: per-pod NIC on the host bridge
+nocont       no nested virtualization (app native in the VM)
+samenode     whole pod in one VM, localhost communication
+hostlo       §4: pod split across VMs over the hostlo device
+overlay      pod split across VMs over Docker Overlay (VXLAN)
+nat_cross    two pods on two VMs over published ports (two NATs)
 ===========  ==================================================
 """
 
-from repro.core.scenario import DeploymentMode, Scenario, build_scenario
+from repro.core.scenario import MODES, Scenario, build_scenario
 from repro.core.testbed import Testbed
 
-__all__ = ["DeploymentMode", "Scenario", "Testbed", "build_scenario"]
+__all__ = ["MODES", "Scenario", "Testbed", "build_scenario"]

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import Testbed
 from repro.harness.config import ExperimentConfig
-from repro.harness.results import ExperimentResult
+from repro.harness.results import ExperimentResult, value
 from repro.net.costs import CostModel
 from repro.sim import CpuResource
 from repro.workloads import NetperfTcpStream
@@ -46,7 +46,7 @@ def run_hostlo_thread(config: ExperimentConfig | None = None) -> ExperimentResul
     rows = []
     for cores in (1, 2, 4, 8):
         tb = _fresh_testbed(config)
-        scenario = build_scenario(tb, DeploymentMode.HOSTLO)
+        scenario = build_scenario(tb, "hostlo")
         handle = tb.orchestrator.deployments[scenario.name].plugin_state["hostlo"]
         if cores > 1:
             # Pre-register a wider pool under the kthread's domain name;
@@ -83,7 +83,7 @@ def run_netfilter_cost(config: ExperimentConfig | None = None) -> ExperimentResu
     rows = []
     for factor in (0.5, 1.0, 2.0, 4.0):
         model = CostModel.default().scale("netfilter_nat", factor)
-        for mode in (DeploymentMode.NAT, DeploymentMode.BRFUSION):
+        for mode in ("nat", "brfusion"):
             tb = _fresh_testbed(config, cost_model=model)
             scenario = build_scenario(tb, mode)
             result = NetperfTcpStream(window=config.stream_window).run(
@@ -91,15 +91,13 @@ def run_netfilter_cost(config: ExperimentConfig | None = None) -> ExperimentResu
             )
             rows.append({
                 "netfilter_scale": factor,
-                "mode": mode.value,
+                "mode": mode,
                 "throughput_mbps": result.throughput_mbps,
             })
 
     def thr(mode, factor):
-        return next(
-            r["throughput_mbps"] for r in rows
-            if r["mode"] == mode and r["netfilter_scale"] == factor
-        )
+        return value(rows, "throughput_mbps", mode=mode,
+                     netfilter_scale=factor)
 
     return ExperimentResult(
         experiment="ablation_netfilter_cost",
@@ -128,9 +126,9 @@ def run_rule_bloat(config: ExperimentConfig | None = None) -> ExperimentResult:
     from repro.orchestrator.pod import ContainerSpec, PodSpec
 
     for neighbors in (0, 4, 9, 19):
-        for mode in (DeploymentMode.NAT, DeploymentMode.BRFUSION):
+        for mode in ("nat", "brfusion"):
             tb = _fresh_testbed(config)
-            scenario = build_scenario(tb, mode, port=12865)
+            scenario = build_scenario(tb, mode)
             # Co-locate more (tiny) published pods on the same VM.
             home = tb.orchestrator.deployments[
                 scenario.name
@@ -143,21 +141,19 @@ def run_rule_bloat(config: ExperimentConfig | None = None) -> ExperimentResult:
                         publish=(("tcp", 13000 + i, 80),),
                     ),),
                 )
-                tb.deploy(spec, network=mode.value, node=home)
+                tb.deploy(spec, network=mode, node=home)
             stream = NetperfTcpStream(window=config.stream_window).run(
                 scenario, MESSAGE_SIZE, duration_s=config.stream_duration_s
             )
             rows.append({
                 "neighbor_pods": neighbors,
-                "mode": mode.value,
+                "mode": mode,
                 "throughput_mbps": stream.throughput_mbps,
             })
 
     def thr(mode, neighbors):
-        return next(
-            r["throughput_mbps"] for r in rows
-            if r["mode"] == mode and r["neighbor_pods"] == neighbors
-        )
+        return value(rows, "throughput_mbps", mode=mode,
+                     neighbor_pods=neighbors)
 
     return ExperimentResult(
         experiment="ablation_rule_bloat",
@@ -236,8 +232,7 @@ def run_no_batching(config: ExperimentConfig | None = None) -> ExperimentResult:
 
     rows = []
     for label, model in (("batched", base), ("unbatched", unbatched)):
-        for mode in (DeploymentMode.NOCONT, DeploymentMode.OVERLAY,
-                     DeploymentMode.HOSTLO):
+        for mode in ("nocont", "overlay", "hostlo"):
             tb = _fresh_testbed(config, cost_model=model)
             scenario = build_scenario(tb, mode)
             result = NetperfTcpStream(window=config.stream_window).run(
@@ -245,15 +240,12 @@ def run_no_batching(config: ExperimentConfig | None = None) -> ExperimentResult:
             )
             rows.append({
                 "variant": label,
-                "mode": mode.value,
+                "mode": mode,
                 "throughput_mbps": result.throughput_mbps,
             })
 
     def thr(variant, mode):
-        return next(
-            r["throughput_mbps"] for r in rows
-            if r["variant"] == variant and r["mode"] == mode
-        )
+        return value(rows, "throughput_mbps", variant=variant, mode=mode)
 
     notes = tuple(
         f"{mode}: unbatched/batched = "

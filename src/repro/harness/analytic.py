@@ -11,13 +11,13 @@ demonstrates the fast-sweep API).
 from __future__ import annotations
 
 from repro.analysis import predict_rr_latency, predict_stream_throughput
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import ExperimentResult
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
 
-MODES = (DeploymentMode.NOCONT, DeploymentMode.NAT, DeploymentMode.HOSTLO)
+MODES = ("nocont", "nat", "hostlo")
 
 
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
@@ -46,7 +46,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
                 scenario_lat, size, transactions=config.rr_transactions
             )
             rows.append({
-                "mode": mode.value,
+                "mode": mode,
                 "size_B": size,
                 "des_mbps": des.throughput_mbps,
                 "model_mbps": prediction.throughput_bps / 1e6,

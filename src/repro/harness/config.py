@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ConfigurationError("need at least two samples")
         if not self.message_sizes:
             raise ConfigurationError("need at least one message size")
+        if len(set(self.message_sizes)) != len(self.message_sizes):
+            # Figures read rows back by (mode, size), one row per pair.
+            raise ConfigurationError("message sizes must be distinct")
         if not self.loss_rates or any(
                 not 0.0 <= p <= 1.0 for p in self.loss_rates):
             raise ConfigurationError(

@@ -7,7 +7,6 @@ virtualization degrades throughput by ~68 % and increases latency by
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.micro import ratio, run_point
 from repro.harness.results import ExperimentResult
@@ -18,8 +17,8 @@ MESSAGE_SIZE = 1280
 def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     config = config or ExperimentConfig()
     rows = [
-        run_point(DeploymentMode.NOCONT, MESSAGE_SIZE, config),
-        run_point(DeploymentMode.NAT, MESSAGE_SIZE, config),
+        run_point("nocont", MESSAGE_SIZE, config),
+        run_point("nat", MESSAGE_SIZE, config),
     ]
     degradation = 1.0 - ratio(rows, "throughput_mbps", MESSAGE_SIZE,
                               "nat", "nocont")

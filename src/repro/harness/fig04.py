@@ -7,12 +7,11 @@ message size and stagnates past the MTU.
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.micro import ratio, run_sweep
 from repro.harness.results import ExperimentResult
 
-MODES = (DeploymentMode.NAT, DeploymentMode.BRFUSION, DeploymentMode.NOCONT)
+MODES = ("nat", "brfusion", "nocont")
 HEADLINE_SIZE = 1280
 
 

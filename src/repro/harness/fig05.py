@@ -8,12 +8,11 @@ latency variance than NoCont.
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.macro import latency_row, run_macro
-from repro.harness.results import ExperimentResult
+from repro.harness.results import ExperimentResult, value
 
-MODES = (DeploymentMode.NAT, DeploymentMode.BRFUSION, DeploymentMode.NOCONT)
+MODES = ("nat", "brfusion", "nocont")
 APPS = ("kafka", "nginx", "memcached")
 
 
@@ -26,10 +25,7 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
             rows.append(latency_row(app, result))
 
     def lat(app, mode):
-        return next(
-            r["latency_us"] for r in rows
-            if r["app"] == app and r["mode"] == mode
-        )
+        return value(rows, "latency_us", app=app, mode=mode)
 
     notes = (
         "Kafka BrFusion vs NAT latency: "

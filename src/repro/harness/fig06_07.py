@@ -9,12 +9,11 @@ shows the same effect with higher magnitude.
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.macro import cpu_rows, run_macro
 from repro.harness.results import ExperimentResult
 
-MODES = (DeploymentMode.NAT, DeploymentMode.BRFUSION, DeploymentMode.NOCONT)
+MODES = ("nat", "brfusion", "nocont")
 
 
 def _run_app(app: str, experiment: str, title: str,

@@ -9,17 +9,11 @@ message sizes at roughly twice SameNode's.  Worst case over the sweep:
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.micro import ratio, run_sweep
 from repro.harness.results import ExperimentResult
 
-MODES = (
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
-    DeploymentMode.NAT_CROSS,
-)
+MODES = ("samenode", "hostlo", "overlay", "nat_cross")
 HEADLINE_SIZE = 1024
 
 

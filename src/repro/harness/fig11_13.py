@@ -10,17 +10,11 @@
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.macro import latency_row, run_macro
-from repro.harness.results import ExperimentResult
+from repro.harness.results import ExperimentResult, value
 
-MODES = (
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
-    DeploymentMode.NAT_CROSS,
-)
+MODES = ("samenode", "hostlo", "overlay", "nat_cross")
 
 
 def _rows(app: str, config: ExperimentConfig):
@@ -32,7 +26,7 @@ def _rows(app: str, config: ExperimentConfig):
 
 
 def _lat(rows, mode):
-    return next(r["latency_us"] for r in rows if r["mode"] == mode)
+    return value(rows, "latency_us", mode=mode)
 
 
 def run_fig11_12(config: ExperimentConfig | None = None) -> ExperimentResult:
@@ -43,11 +37,11 @@ def run_fig11_12(config: ExperimentConfig | None = None) -> ExperimentResult:
         f"Hostlo/SameNode memcached latency: {ratio:.2f}x (paper: ≈1x — "
         "hostlo 'unexpectedly reaches the levels of SameNode')",
         "Hostlo latency variance vs NAT/Overlay: "
-        f"{next(r['latency_cv'] for r in rows if r['mode'] == 'hostlo'):.2f}"
+        f"{value(rows, 'latency_cv', mode='hostlo'):.2f}"
         " vs "
-        f"{next(r['latency_cv'] for r in rows if r['mode'] == 'nat_cross'):.2f}"
+        f"{value(rows, 'latency_cv', mode='nat_cross'):.2f}"
         "/"
-        f"{next(r['latency_cv'] for r in rows if r['mode'] == 'overlay'):.2f}"
+        f"{value(rows, 'latency_cv', mode='overlay'):.2f}"
         " (paper: hostlo reports stable latency)",
     )
     return ExperimentResult(

@@ -11,17 +11,11 @@ smaller increases (+17.1 % client+server, +36.9 % guest).
 
 from __future__ import annotations
 
-from repro.core import DeploymentMode
 from repro.harness.config import ExperimentConfig
 from repro.harness.macro import cpu_rows, run_macro
 from repro.harness.results import ExperimentResult
 
-MODES = (
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
-    DeploymentMode.NAT_CROSS,
-)
+MODES = ("samenode", "hostlo", "overlay", "nat_cross")
 
 
 def _run_app(app: str, experiment: str, title: str,
@@ -40,7 +34,7 @@ def _run_app(app: str, experiment: str, title: str,
             breakdowns[e].kernel for e in vm_entities
         )
         total = sum(breakdowns[e].total for e in vm_entities)
-        summaries[mode.value] = {
+        summaries[mode] = {
             "kernel": kernel,
             "total": total,
             "guest": breakdowns["host"].guest,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.core import DeploymentMode, Scenario, build_scenario
+from repro.core import MODES, Scenario, build_scenario
 from repro.core.testbed import Testbed, default_testbed
 from repro.errors import ConfigurationError
 from repro.harness.config import ExperimentConfig
@@ -43,7 +43,7 @@ def build_workload(app: str, config: ExperimentConfig):
 
 def run_macro(
     app: str,
-    mode: DeploymentMode,
+    mode: str,
     config: ExperimentConfig,
 ) -> tuple[WorkloadResult, dict[str, CpuBreakdown], Testbed, Scenario]:
     """One macro run; returns (result, breakdowns, testbed, scenario)."""
@@ -53,13 +53,7 @@ def run_macro(
     # "By nature, the SameNode setup features only one VM, whereas
     # Hostlo, NAT and Overlay include two VMs" (§5.3.4) — idle-guest
     # load must not be double-billed to single-VM configurations.
-    single_vm_modes = (
-        DeploymentMode.SAMENODE, DeploymentMode.NAT,
-        DeploymentMode.BRFUSION, DeploymentMode.NOCONT,
-    )
-    tb = default_testbed(
-        seed=config.seed, vms=1 if mode in single_vm_modes else 2
-    )
+    tb = default_testbed(seed=config.seed, vms=MODES[mode].vms)
     scenario = build_scenario(tb, mode, image=image, port=port)
     workload = build_workload(app, config)
     tb.reset_accounting()
@@ -82,7 +76,7 @@ def latency_row(app: str, result: WorkloadResult) -> dict[str, t.Any]:
 
 def cpu_rows(
     app: str,
-    mode: DeploymentMode,
+    mode: str,
     breakdowns: dict[str, CpuBreakdown],
     entities: t.Sequence[str],
 ) -> list[dict[str, t.Any]]:
@@ -91,7 +85,7 @@ def cpu_rows(
         bd = breakdowns[entity]
         rows.append({
             "app": app,
-            "mode": mode.value,
+            "mode": mode,
             "entity": entity,
             "usr_cores": _per_window(bd, bd.usr),
             "sys_cores": _per_window(bd, bd.sys),

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.harness.config import ExperimentConfig
+from repro.harness.results import value
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
 
 Row = dict[str, t.Any]
 
 
 def run_point(
-    mode: DeploymentMode, size: int, config: ExperimentConfig
+    mode: str, size: int, config: ExperimentConfig
 ) -> Row:
     """One (mode, message size) measurement on fresh testbeds.
 
@@ -34,7 +35,7 @@ def run_point(
     )
     stats = rr.latency
     return {
-        "mode": mode.value,
+        "mode": mode,
         "size_B": size,
         "throughput_mbps": stream.throughput_mbps,
         "latency_us": stats.mean * 1e6,
@@ -44,7 +45,7 @@ def run_point(
 
 
 def run_sweep(
-    modes: t.Sequence[DeploymentMode], config: ExperimentConfig
+    modes: t.Sequence[str], config: ExperimentConfig
 ) -> list[Row]:
     rows = []
     for size in config.message_sizes:
@@ -56,10 +57,5 @@ def run_sweep(
 def ratio(rows: t.Sequence[Row], column: str, size: int,
           numerator: str, denominator: str) -> float:
     """Ratio of *column* between two modes at one message size."""
-    def pick(mode: str) -> float:
-        for row in rows:
-            if row["mode"] == mode and row["size_B"] == size:
-                return float(row[column])
-        raise KeyError(f"no row for {mode} @ {size}B")
-
-    return pick(numerator) / pick(denominator)
+    return (value(rows, column, mode=numerator, size_B=size)
+            / value(rows, column, mode=denominator, size_B=size))

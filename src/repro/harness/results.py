@@ -13,6 +13,15 @@ from repro.errors import ConfigurationError
 Row = dict[str, t.Any]
 
 
+def value(rows: t.Iterable[Row], column: str, **filters: t.Any) -> t.Any:
+    """The value of *column* in the one row matching all equality *filters*."""
+    matches = [row for row in rows
+               if all(row.get(k) == v for k, v in filters.items())]
+    if len(matches) != 1:
+        raise ConfigurationError(f"{filters} matched {len(matches)} rows")
+    return matches[0][column]
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentResult:
     """Rows for one figure/table, ready to print or assert on.
@@ -51,12 +60,10 @@ class ExperimentResult:
 
     def value(self, column: str, **filters: t.Any) -> t.Any:
         """The single value of *column* in the unique matching row."""
-        rows = self.select(**filters)
-        if len(rows) != 1:
-            raise ConfigurationError(
-                f"{self.experiment}: {filters} matched {len(rows)} rows"
-            )
-        return rows[0][column]
+        try:
+            return value(self.rows, column, **filters)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.experiment}: {exc}") from None
 
     def render(self) -> str:
         """An aligned plain-text table with title and notes."""

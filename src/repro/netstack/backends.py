@@ -38,16 +38,21 @@ class _ScenarioBackend(NetworkStackModule):
 
     The guest kernels own their stacks; ``attach`` deploys the mode's
     pod topology and exposes the resulting flow.  Subclasses pin
-    ``mode`` to a :class:`~repro.core.scenario.DeploymentMode` value.
+    ``mode`` to a key of :data:`~repro.core.scenario.MODES`, which is
+    also the CNI network the mode deploys on.
     """
 
     mode: str = ""
 
+    @property
+    def cni_network(self) -> str:
+        return self.mode
+
     def attach(self, tb: "Testbed") -> StackEndpoints:
-        from repro.core.scenario import DeploymentMode, build_scenario
+        from repro.core.scenario import build_scenario
 
         _ensure_vms(tb, 2)
-        sc = build_scenario(tb, DeploymentMode(self.mode))
+        sc = build_scenario(tb, self.mode)
         taps = (
             *sc.src_ns.devices.values(),
             *sc.dst_ns.devices.values(),
@@ -58,7 +63,6 @@ class _ScenarioBackend(NetworkStackModule):
             dst_ns=sc.dst_ns, dst_addr=sc.dst_addr,
             dst_port=sc.dst_port, src_port=sc.src_port,
             taps=taps,
-            detail={"scenario": sc, "mode": self.mode},
         )
 
 
@@ -67,7 +71,6 @@ class InVmNat(_ScenarioBackend):
 
     name = "in_vm_nat"
     title = "in-VM bridge+NAT"
-    cni_network = "nat"
     fault_kind = "frame.drop"
     mode = "nat"
 
@@ -78,7 +81,6 @@ class BrFusion(_ScenarioBackend):
 
     name = "brfusion"
     title = "BrFusion"
-    cni_network = "brfusion"
     fallback = "in_vm_nat"
     fault_kind = "frame.drop"
     mode = "brfusion"
@@ -89,7 +91,6 @@ class Hostlo(_ScenarioBackend):
 
     name = "hostlo"
     title = "Hostlo"
-    cni_network = "hostlo"
     fault_kind = "hostlo.drop"
     mode = "hostlo"
 
@@ -99,7 +100,6 @@ class VxlanOverlay(_ScenarioBackend):
 
     name = "vxlan_overlay"
     title = "VXLAN overlay"
-    cni_network = "overlay"
     fault_kind = "frame.drop"
     mode = "overlay"
 

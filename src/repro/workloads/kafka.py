@@ -86,7 +86,7 @@ class KafkaProducerPerf:
         elapsed = tb.env.now - t_start
         return WorkloadResult(
             workload="kafka_producer",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=self.message_bytes,
             duration_s=elapsed,
             messages=counters["messages"],

@@ -91,7 +91,7 @@ class MemtierBenchmark:
         elapsed = tb.env.now - t_start
         return WorkloadResult(
             workload="memtier",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=REQUEST_BYTES_GET,
             duration_s=max(elapsed, duration_s),
             messages=counters["ops"],

@@ -58,7 +58,7 @@ class NetperfTcpStream:
         elapsed = tb.env.now - t_start
         return WorkloadResult(
             workload="netperf_tcp_stream",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=message_size,
             duration_s=max(elapsed, duration_s),
             messages=counters["messages"],
@@ -96,7 +96,7 @@ class NetperfTcpRR:
         tb.env.run(until=tb.env.process(client()))
         return WorkloadResult(
             workload="netperf_tcp_rr",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=message_size,
             duration_s=tb.env.now - t_start,
             messages=transactions,
@@ -147,7 +147,7 @@ class NetperfTcpCRR:
         tb.env.run(until=tb.env.process(client()))
         return WorkloadResult(
             workload="netperf_tcp_crr",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=message_size,
             duration_s=tb.env.now - t_start,
             messages=transactions,
@@ -182,7 +182,7 @@ class NetperfUdpRR:
         elapsed = tb.env.now - t_start
         return WorkloadResult(
             workload="netperf_udp_rr",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=message_size,
             duration_s=elapsed,
             messages=transactions,

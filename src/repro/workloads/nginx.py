@@ -114,7 +114,7 @@ class Wrk2Benchmark:
         elapsed = tb.env.now - t_start
         return WorkloadResult(
             workload="wrk2",
-            mode=scenario.mode.value,
+            mode=scenario.mode,
             message_size=self.file_bytes,
             duration_s=max(elapsed, duration_s),
             messages=counters["done"],

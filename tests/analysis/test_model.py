@@ -7,22 +7,22 @@ from repro.analysis import (
     predict_stream_throughput,
     sweep_message_sizes,
 )
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
 
 MODES = [
-    DeploymentMode.NOCONT,
-    DeploymentMode.NAT,
-    DeploymentMode.BRFUSION,
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
-    DeploymentMode.NAT_CROSS,
+    "nocont",
+    "nat",
+    "brfusion",
+    "samenode",
+    "hostlo",
+    "overlay",
+    "nat_cross",
 ]
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+@pytest.mark.parametrize("mode", MODES)
 def test_stream_prediction_matches_des(mode):
     tb = default_testbed(seed=31, vms=2)
     scenario = build_scenario(tb, mode)
@@ -38,7 +38,7 @@ def test_stream_prediction_matches_des(mode):
     assert 0.6 <= ratio <= 1.15, (mode, ratio, prediction)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+@pytest.mark.parametrize("mode", MODES)
 def test_rr_prediction_matches_des(mode):
     tb = default_testbed(seed=31, vms=2)
     scenario = build_scenario(tb, mode)
@@ -52,7 +52,7 @@ def test_rr_prediction_matches_des(mode):
 
 def test_bottleneck_identification():
     tb = default_testbed(seed=31, vms=2)
-    hostlo = build_scenario(tb, DeploymentMode.HOSTLO)
+    hostlo = build_scenario(tb, "hostlo")
     forward, _ = hostlo.paths("tcp")
     prediction = predict_stream_throughput(
         tb.engine, forward, hostlo.ack_path("tcp"), 1024
@@ -64,7 +64,7 @@ def test_bottleneck_identification():
 
 def test_small_window_becomes_the_bound():
     tb = default_testbed(seed=31, vms=2)
-    scenario = build_scenario(tb, DeploymentMode.NOCONT)
+    scenario = build_scenario(tb, "nocont")
     forward, _ = scenario.paths("tcp")
     prediction = predict_stream_throughput(
         tb.engine, forward, scenario.ack_path("tcp"), 1024, window=2
@@ -74,7 +74,7 @@ def test_small_window_becomes_the_bound():
 
 def test_sweep_is_instant_and_monotone_for_nocont():
     tb = default_testbed(seed=31, vms=2)
-    scenario = build_scenario(tb, DeploymentMode.NOCONT)
+    scenario = build_scenario(tb, "nocont")
     forward, reverse = scenario.paths("tcp")
     rows = sweep_message_sizes(
         tb.engine, forward, reverse, scenario.ack_path("tcp"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.errors import HotplugError, SchedulingError, TopologyError
 from repro.net import resolve_path
@@ -12,7 +12,7 @@ from repro.net.forwarding import ForwardingEngine
 class TestDeviceFailures:
     def test_pod_nic_link_down_breaks_path(self):
         tb = default_testbed(seed=23, vms=1)
-        scenario = build_scenario(tb, DeploymentMode.BRFUSION)
+        scenario = build_scenario(tb, "brfusion")
         dep = tb.orchestrator.deployments[scenario.name]
         dep.plugin_state["pod_nic"].up = False
         with pytest.raises(TopologyError, match="down"):
@@ -20,7 +20,7 @@ class TestDeviceFailures:
 
     def test_hot_unplug_under_a_live_deployment(self):
         tb = default_testbed(seed=23, vms=1)
-        scenario = build_scenario(tb, DeploymentMode.BRFUSION)
+        scenario = build_scenario(tb, "brfusion")
         dep = tb.orchestrator.deployments[scenario.name]
         nic = dep.plugin_state["pod_nic"]
         vm = tb.vm("vm0")
@@ -32,7 +32,7 @@ class TestDeviceFailures:
 
     def test_remove_hostlo_breaks_intra_pod_path(self):
         tb = default_testbed(seed=23, vms=2)
-        scenario = build_scenario(tb, DeploymentMode.HOSTLO)
+        scenario = build_scenario(tb, "hostlo")
         dep = tb.orchestrator.deployments[scenario.name]
         tb.vmm.remove_hostlo(dep.plugin_state["hostlo"].name)
         with pytest.raises(TopologyError):
@@ -41,7 +41,7 @@ class TestDeviceFailures:
 
     def test_frames_observe_link_down_not_crash(self):
         tb = default_testbed(seed=23, vms=1)
-        scenario = build_scenario(tb, DeploymentMode.NAT)
+        scenario = build_scenario(tb, "nat")
         tb.vm("vm0").primary_nic.up = False
         # Reverse direction egresses through the downed NIC.
         delivery = ForwardingEngine().send(
@@ -78,24 +78,24 @@ class TestVmFailures:
 class TestOrchestratorFailures:
     def test_remove_pod_twice_rejected(self):
         tb = default_testbed(seed=23, vms=1)
-        scenario = build_scenario(tb, DeploymentMode.NAT)
+        scenario = build_scenario(tb, "nat")
         tb.orchestrator.remove_pod(scenario.name)
         with pytest.raises(SchedulingError):
             tb.orchestrator.remove_pod(scenario.name)
 
     def test_redeploy_after_removal_works(self):
         tb = default_testbed(seed=23, vms=1)
-        scenario = build_scenario(tb, DeploymentMode.BRFUSION)
+        scenario = build_scenario(tb, "brfusion")
         tb.orchestrator.remove_pod(scenario.name)
         # Same port is free again: a new pod can publish it.
-        second = build_scenario(tb, DeploymentMode.BRFUSION)
+        second = build_scenario(tb, "brfusion")
         assert second.name != scenario.name
         path = resolve_path(second.src_ns, second.dst_addr, second.dst_port)
         assert path.stages[-1].domain == "vm:vm0"
 
     def test_hostlo_pod_removal_frees_the_device_name(self):
         tb = default_testbed(seed=23, vms=2)
-        scenario = build_scenario(tb, DeploymentMode.HOSTLO)
+        scenario = build_scenario(tb, "hostlo")
         dep = tb.orchestrator.deployments[scenario.name]
         name = dep.plugin_state["hostlo"].name
         tb.orchestrator.remove_pod(scenario.name)

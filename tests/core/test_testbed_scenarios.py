@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentMode, Testbed, build_scenario
+from repro.core import Testbed, build_scenario
 from repro.core.testbed import default_testbed
 from repro.errors import ConfigurationError
 
@@ -35,13 +35,8 @@ class TestTestbed:
         assert set(bd) == {"host", "client", "vm:vm0", "vm:vm1"}
 
 
-EXTERNAL = [DeploymentMode.NAT, DeploymentMode.BRFUSION, DeploymentMode.NOCONT]
-INTRA = [
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
-    DeploymentMode.NAT_CROSS,
-]
+EXTERNAL = ["nat", "brfusion", "nocont"]
+INTRA = ["samenode", "hostlo", "overlay", "nat_cross"]
 
 
 class TestScenarioBuilders:
@@ -64,51 +59,56 @@ class TestScenarioBuilders:
         for mode in EXTERNAL:
             scenario = build_scenario(default_testbed(seed=1, vms=2), mode)
             lengths[mode] = len(scenario.paths()[0].stages)
-        assert (
-            lengths[DeploymentMode.BRFUSION]
-            == lengths[DeploymentMode.NOCONT]
-            < lengths[DeploymentMode.NAT]
-        )
+        assert lengths["brfusion"] == lengths["nocont"] < lengths["nat"]
 
     def test_intra_pod_orderings(self):
         lengths = {}
         for mode in INTRA:
             scenario = build_scenario(default_testbed(seed=1, vms=2), mode)
             lengths[mode] = len(scenario.paths()[0].stages)
-        assert lengths[DeploymentMode.SAMENODE] < lengths[DeploymentMode.HOSTLO]
-        assert lengths[DeploymentMode.HOSTLO] < lengths[DeploymentMode.NAT_CROSS]
-        assert lengths[DeploymentMode.HOSTLO] < lengths[DeploymentMode.OVERLAY]
+        assert lengths["samenode"] < lengths["hostlo"]
+        assert lengths["hostlo"] < lengths["nat_cross"]
+        assert lengths["hostlo"] < lengths["overlay"]
 
     def test_hostlo_scenario_is_cross_vm(self, tb):
-        scenario = build_scenario(tb, DeploymentMode.HOSTLO)
+        scenario = build_scenario(tb, "hostlo")
         assert scenario.src_ns.domain != scenario.dst_ns.domain
         assert "hostlo_reflect" in scenario.paths()[0].stage_names()
 
     def test_samenode_scenario_is_loopback(self, tb):
-        scenario = build_scenario(tb, DeploymentMode.SAMENODE)
+        scenario = build_scenario(tb, "samenode")
         assert "loopback_xmit" in scenario.paths()[0].stage_names()
         assert scenario.src_ns is scenario.dst_ns
 
     def test_nat_cross_traverses_two_nat_layers(self, tb):
-        scenario = build_scenario(tb, DeploymentMode.NAT_CROSS)
+        scenario = build_scenario(tb, "nat_cross")
         forward, reverse = scenario.paths()
         assert forward.count("netfilter_nat") >= 2  # masquerade + DNAT
         assert reverse.count("netfilter_nat") >= 2
 
     def test_split_scenarios_need_two_vms(self):
         tb = default_testbed(seed=1, vms=1)
-        with pytest.raises(ConfigurationError):
-            build_scenario(tb, DeploymentMode.HOSTLO)
+        for mode in ("hostlo", "overlay", "nat_cross"):
+            with pytest.raises(ConfigurationError, match="need 2 enrolled"):
+                build_scenario(tb, mode)
+
+    def test_unknown_mode_lists_every_key(self, tb):
+        with pytest.raises(ConfigurationError) as err:
+            build_scenario(tb, "bridge")
+        assert str(err.value).endswith(
+            "known modes: nat, brfusion, nocont, samenode, hostlo, overlay, "
+            "nat_cross"
+        )
 
     def test_multiple_scenarios_coexist_on_distinct_ports(self, tb):
-        first = build_scenario(tb, DeploymentMode.NAT, port=12865)
-        second = build_scenario(tb, DeploymentMode.NAT, port=12866)
+        first = build_scenario(tb, "nat", port=12865)
+        second = build_scenario(tb, "nat", port=12866)
         assert first.name != second.name
         assert first.dst_port != second.dst_port
 
     def test_port_collision_is_detected(self, tb):
         from repro.errors import TopologyError
 
-        build_scenario(tb, DeploymentMode.NAT, port=12865)
+        build_scenario(tb, "nat", port=12865)
         with pytest.raises(TopologyError):
-            build_scenario(tb, DeploymentMode.NAT, port=12865)
+            build_scenario(tb, "nat", port=12865)

@@ -30,6 +30,7 @@ class TestConfig:
         {"rr_transactions": 0},
         {"boot_runs": 1},
         {"message_sizes": ()},
+        {"message_sizes": (1024, 1024)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):

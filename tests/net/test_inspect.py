@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.net import Loopback, NetDevice, PhysicalNic
 from repro.net.addresses import MacAllocator
@@ -94,12 +94,12 @@ class TestEveryDeviceKind:
     @pytest.mark.parametrize(
         "mode",
         [
-            DeploymentMode.NAT,
-            DeploymentMode.BRFUSION,
-            DeploymentMode.HOSTLO,
-            DeploymentMode.OVERLAY,
-            DeploymentMode.SAMENODE,
-            DeploymentMode.NOCONT,
+            "nat",
+            "brfusion",
+            "hostlo",
+            "overlay",
+            "samenode",
+            "nocont",
         ],
     )
     def test_whole_scenario_renders(self, mode):
@@ -117,7 +117,7 @@ def test_describe_topology_orders_blocks(nat_topo):
 
 def test_testbed_description_covers_everything():
     tb = default_testbed(seed=2, vms=2)
-    build_scenario(tb, DeploymentMode.HOSTLO)
+    build_scenario(tb, "hostlo")
     text = describe_testbed(tb)
     assert "namespace host" in text
     assert "namespace client" in text

@@ -207,12 +207,12 @@ class TestEngineIntegration:
             assert any(s.category == "sim.step" for s in tr.spans)
 
     def test_disabled_tracer_records_nothing(self):
-        from repro.core import DeploymentMode, build_scenario
+        from repro.core import build_scenario
         from repro.core.testbed import default_testbed
 
         assert obs.tracer() is NULL
         tb = default_testbed(seed=3, vms=2)
-        sc = build_scenario(tb, DeploymentMode.NAT)
+        sc = build_scenario(tb, "nat")
         fwd, _rev = sc.paths()
         tb.env.run(until=tb.env.process(tb.engine.transfer(fwd, 1024)))
         assert list(NULL.spans) == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.sim import Environment
 from repro.virt import PhysicalHost, Vmm
@@ -78,7 +78,7 @@ class TestOrchestratorWiring:
     def test_scheduler_and_cni_events(self):
         with obs.capture() as (tracer, _):
             tb = default_testbed(seed=4, vms=2)
-            build_scenario(tb, DeploymentMode.NAT)
+            build_scenario(tb, "nat")
             place = tracer.events_in("sched.place")
             assert place and all("policy" in e.attrs for e in place)
             attach = tracer.events_in("cni.attach")
@@ -87,7 +87,7 @@ class TestOrchestratorWiring:
     def test_split_placement_flagged(self):
         with obs.capture() as (tracer, _):
             tb = default_testbed(seed=4, vms=2)
-            build_scenario(tb, DeploymentMode.HOSTLO)
+            build_scenario(tb, "hostlo")
             attach = [e for e in tracer.events_in("cni.attach")
                       if e.attrs["plugin"] == "hostlo"]
             assert any(e.attrs["split"] for e in attach)
@@ -101,7 +101,7 @@ class TestForwardingWiring:
 
         with obs.capture() as (tracer, _):
             tb = default_testbed(seed=4, vms=2)
-            scenario = build_scenario(tb, DeploymentMode.NAT)
+            scenario = build_scenario(tb, "nat")
             tracer.clear()  # keep only the frame walk below
             delivery = ForwardingEngine().send(
                 tb.client_ns, scenario.dst_addr, scenario.dst_port
@@ -118,7 +118,7 @@ class TestDatapathMetrics:
     def test_queue_depth_gauge_sampled_during_transfer(self):
         with obs.capture() as (_tracer, metrics):
             tb = default_testbed(seed=4, vms=2)
-            scenario = build_scenario(tb, DeploymentMode.NAT)
+            scenario = build_scenario(tb, "nat")
             forward, _rev = scenario.paths()
             tb.env.run(
                 until=tb.env.process(tb.engine.transfer(forward, 1280))

@@ -9,18 +9,18 @@ pod shape.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import Testbed
 from repro.net import resolve_path
 from repro.net.forwarding import ForwardingEngine
 from repro.orchestrator.pod import ContainerSpec, PodSpec
 
 MODES = st.sampled_from([
-    DeploymentMode.NAT,
-    DeploymentMode.BRFUSION,
-    DeploymentMode.SAMENODE,
-    DeploymentMode.HOSTLO,
-    DeploymentMode.OVERLAY,
+    "nat",
+    "brfusion",
+    "samenode",
+    "hostlo",
+    "overlay",
 ])
 
 PORTS = st.integers(min_value=1024, max_value=60000)

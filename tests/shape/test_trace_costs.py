@@ -10,7 +10,7 @@ a shorter datapath than NAT, so the traced stage list must show it.
 import pytest
 
 from repro import obs
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 
 NBYTES = 1280
@@ -38,7 +38,7 @@ def expected_cycles(tb, path, nbytes=NBYTES):
 
 
 @pytest.mark.parametrize(
-    "mode", [DeploymentMode.NAT, DeploymentMode.BRFUSION]
+    "mode", ["nat", "brfusion"]
 )
 class TestTracedCyclesMatchCostModel:
     def test_one_span_per_stage_in_order(self, mode):
@@ -68,8 +68,8 @@ class TestTracedCyclesMatchCostModel:
 
 class TestBrFusionShorterPath:
     def test_brfusion_traces_fewer_stages_than_nat(self):
-        _, nat_path, nat_spans = traced_stage_spans(DeploymentMode.NAT)
-        _, br_path, br_spans = traced_stage_spans(DeploymentMode.BRFUSION)
+        _, nat_path, nat_spans = traced_stage_spans("nat")
+        _, br_path, br_spans = traced_stage_spans("brfusion")
         assert len(br_spans) < len(nat_spans)
         # and cheaper in total cycles, matching fig 4's ordering
         assert sum(s.attrs["cycles"] for s in br_spans) < sum(
@@ -77,8 +77,8 @@ class TestBrFusionShorterPath:
         )
 
     def test_nat_only_stages_absent_from_brfusion(self):
-        _, _, nat_spans = traced_stage_spans(DeploymentMode.NAT)
-        _, _, br_spans = traced_stage_spans(DeploymentMode.BRFUSION)
+        _, _, nat_spans = traced_stage_spans("nat")
+        _, _, br_spans = traced_stage_spans("brfusion")
         nat_stages = {s.name for s in nat_spans}
         br_stages = {s.name for s in br_spans}
         # The guest-side NAT machinery is exactly what BrFusion removes.
@@ -90,7 +90,7 @@ class TestTransferParentSpan:
     def test_stages_nest_under_the_transfer(self):
         with obs.capture() as (tracer, _):
             tb = default_testbed(seed=11, vms=2)
-            scenario = build_scenario(tb, DeploymentMode.NAT)
+            scenario = build_scenario(tb, "nat")
             forward, _reverse = scenario.paths()
             tb.env.run(
                 until=tb.env.process(tb.engine.transfer(forward, NBYTES))

@@ -15,7 +15,7 @@ def test_all_exports_resolve():
 def test_thirty_second_workflow():
     """The README's 'from Python' snippet, end to end."""
     tb = repro.default_testbed(vms=2)
-    scenario = repro.build_scenario(tb, repro.DeploymentMode.BRFUSION)
+    scenario = repro.build_scenario(tb, "brfusion")
     from repro.workloads import NetperfTcpStream
 
     result = NetperfTcpStream(window=16).run(scenario, 1280, duration_s=0.005)

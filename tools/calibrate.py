@@ -5,7 +5,7 @@ Run:  python tools/calibrate.py
 
 import sys
 
-from repro.core import DeploymentMode, build_scenario
+from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
 
@@ -24,10 +24,10 @@ def main():
     msg = int(sys.argv[1]) if len(sys.argv) > 1 else 1280
     print(f"== client->server @{msg}B ==")
     rows = {}
-    for mode in (DeploymentMode.NOCONT, DeploymentMode.NAT, DeploymentMode.BRFUSION):
-        rows[mode.value] = run_mode(mode, msg)
-        t, l, cv = rows[mode.value]
-        print(f"{mode.value:10s} thr={t:9.1f} Mbps  lat={l:8.1f} us  cv={cv:.2f}")
+    for mode in ("nocont", "nat", "brfusion"):
+        rows[mode] = run_mode(mode, msg)
+        t, l, cv = rows[mode]
+        print(f"{mode:10s} thr={t:9.1f} Mbps  lat={l:8.1f} us  cv={cv:.2f}")
     print(f"NAT/NoCont thr   = {rows['nat'][0]/rows['nocont'][0]:.3f}   (paper ~0.32-0.48)")
     print(f"BrF/NAT thr      = {rows['brfusion'][0]/rows['nat'][0]:.3f} (paper ~2.1)")
     print(f"BrF/NoCont thr   = {rows['brfusion'][0]/rows['nocont'][0]:.3f} (paper >0.965)")
@@ -37,11 +37,10 @@ def main():
     msg2 = 1024
     print(f"\n== intra-pod @{msg2}B ==")
     rows = {}
-    for mode in (DeploymentMode.SAMENODE, DeploymentMode.HOSTLO,
-                 DeploymentMode.OVERLAY, DeploymentMode.NAT_CROSS):
-        rows[mode.value] = run_mode(mode, msg2)
-        t, l, cv = rows[mode.value]
-        print(f"{mode.value:10s} thr={t:9.1f} Mbps  lat={l:8.1f} us  cv={cv:.2f}")
+    for mode in ("samenode", "hostlo", "overlay", "nat_cross"):
+        rows[mode] = run_mode(mode, msg2)
+        t, l, cv = rows[mode]
+        print(f"{mode:10s} thr={t:9.1f} Mbps  lat={l:8.1f} us  cv={cv:.2f}")
     print(f"Same/Hostlo thr  = {rows['samenode'][0]/rows['hostlo'][0]:.3f} (paper ~5.3)")
     print(f"Hostlo/NATx thr  = {rows['hostlo'][0]/rows['nat_cross'][0]:.3f} (paper ~1.18)")
     print(f"Ovl/Hostlo thr   = {rows['overlay'][0]/rows['hostlo'][0]:.3f} (paper ~1.37)")
