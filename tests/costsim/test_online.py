@@ -1,5 +1,8 @@
 """Tests for the online cost simulation extension."""
 
+import dataclasses
+import platform
+
 import pytest
 
 from repro.costsim.online import (
@@ -98,3 +101,22 @@ class TestOnlineSimulation:
         assert outcome.split_placements == 1
         assert outcome.hostlo_buys < outcome.kubernetes_buys
         assert outcome.hostlo_cost < outcome.kubernetes_cost
+
+
+#: ``dataclasses.astuple`` of the 20-user, seed-2019 online outcome.
+#: It pins every placement the replay makes through ``BoughtVm`` and
+#: ``PlacedContainer``; the full ``online_cost`` experiment is too slow
+#: for tier-1.  Pod totals are float ``sum()``s, which round differently
+#: from Python 3.12 on, so the pin holds for the version beside it.
+ONLINE_20_USERS = (9675.12035917008, 6233.365663025401, 211, 182, 71, 46, 37)
+ONLINE_20_USERS_PYTHON = "3.11"
+
+
+def test_twenty_user_outcome_is_pinned():
+    python = ".".join(platform.python_version_tuple()[:2])
+    if python != ONLINE_20_USERS_PYTHON:
+        pytest.skip(f"pinned on Python {ONLINE_20_USERS_PYTHON}, "
+                    f"running {python}")
+    events = generate_events(OnlineConfig(
+        trace=TraceConfig(users=20, seed=2019)))
+    assert dataclasses.astuple(simulate_online(events)) == ONLINE_20_USERS

@@ -37,12 +37,13 @@ GOLDEN_PATH = pathlib.Path(__file__).resolve().parents[2] / "GOLDEN_quick.json"
 #: than its simulated outcome.
 MEASURED_META = frozenset({"wall_s", "config_fingerprint", "job_key"})
 
-#: The DES-driven experiments the golden file covers.
+#: The deterministic experiments the golden file covers.
 EXPERIMENTS = (
     "fig02", "fig04", "fig05", "fig06", "fig07", "fig10", "fig11_12",
     "fig13", "fig14", "fig15", "netstack", "reliability", "analytic_check",
     "ablation_hostlo_thread", "ablation_netfilter_cost",
     "ablation_rule_bloat", "ablation_no_batching",
+    "fabric", "ablation_scheduler_policy",
 )
 
 
