@@ -8,15 +8,18 @@ shrinking the sizes of VMs — thus reducing costs."
 Concretely: containers of splittable pods are considered smallest
 first; each is moved into the most-wasted *other* VM that can take it,
 provided the destination is strictly more wasted than the source (so
-moves consolidate instead of shuffling).  Passes repeat until no move
-applies.  Emptied VMs are returned; every remaining VM is replaced by
-the cheapest model that still holds its load.  The pod fragments that
-end up on different VMs are exactly the deployments Hostlo's datapath
-makes possible.
+moves consolidate instead of shuffling).  Each pass keeps its VMs in an
+index sorted by waste (:class:`_WasteIndex`), which picks exactly the
+VM that a scan of every VM in list order would, without visiting every
+VM for every container.  Passes repeat until no move applies.  Emptied
+VMs are returned; every remaining VM is replaced by the cheapest model
+that still holds its load.  The pod fragments that end up on different
+VMs are exactly the deployments Hostlo's datapath makes possible.
 """
 
 from __future__ import annotations
 
+import bisect
 import typing as t
 
 from repro.costsim.packing import BoughtVm, PlacedContainer, total_cost
@@ -95,45 +98,105 @@ def _one_pass(vms: list[BoughtVm]) -> bool:
         (item, vm) for vm in vms for item in vm.placed if item.splittable
     ]
     items.sort(key=lambda pair: pair[0].size_key)
+    index = _WasteIndex(vms)
     for item, source in items:
         if item not in source.placed:  # already moved in this pass
             continue
-        destination = _most_wasted_destination(vms, source, item)
+        destination = index.destination(source, item)
         if destination is None:
             continue
-        source.remove(item)
-        destination.place(item)
+        index.move(item, source, destination)
         moved = True
     return moved
 
 
-def _most_wasted_destination(
-    vms: t.Sequence[BoughtVm], source: BoughtVm, item: PlacedContainer
-) -> BoughtVm | None:
-    """The most-wasted other VM that takes *item* and consolidates.
+class _WasteIndex:
+    """The pass's VMs, most wasted first, for picking move destinations.
 
-    A destination must be strictly more wasted than the source would be
-    attractive to fill — otherwise containers would oscillate between
-    equally-loaded VMs forever.
+    Entries are ``(-waste, position, vm)`` kept sorted with :mod:`bisect`,
+    where *position* is the VM's index in the pass's list.  Moves go
+    through :meth:`move`, which keeps the order.
 
-    This is the pass's hot loop, so it inlines :meth:`BoughtVm.fits`
-    and :attr:`BoughtVm.waste`.  Their exact comparisons, including the
-    first-wins strict tie-break, decide which VM takes each container.
+    :meth:`destination` picks exactly the VM that a sequential scan of
+    the list would pick: every VM in list order, skipping the source
+    and each VM the item does not fit, accepting a VM when
+    ``waste > best_waste + 1e-12``, with ``best_waste`` starting at the
+    source's waste.  It walks the index from the top and collects the
+    fitting VMs of the gap-connected top cluster.  The walk stops at the
+    first fitting VM whose waste ``w`` has
+    ``lowest_collected > w + 1e-12``, and at the first VM the scan could
+    never accept, ``w <= source_waste + 1e-12``.  It then runs the
+    sequential scan over the cluster only, in list order.
+
+    Why this is exact.  ``best_waste`` only grows and float addition is
+    monotonic, so a VM with ``w <= source_waste + 1e-12`` is never
+    accepted, and every fitting VM below the cluster has ``w + 1e-12``
+    below the waste of every cluster member.  Such a VM can become
+    ``best`` only before the scan accepts a cluster member, and every
+    cluster member still beats it, so the first cluster member in list
+    order is accepted either way.  Both scans then go on from the same
+    ``best``, and no VM below the cluster can beat a cluster member
+    afterwards.
     """
-    cpu = item.cpu
-    memory = item.memory
-    best: BoughtVm | None = None
-    best_waste = source.waste
-    for vm in vms:
-        free_cpu = vm.free_cpu
-        free_memory = vm.free_memory
-        if (vm is source or not cpu <= free_cpu + 1e-12
-                or not memory <= free_memory + 1e-12):
-            continue
-        waste = free_cpu + free_memory
-        if waste > best_waste + 1e-12:
-            best, best_waste = vm, waste
-    return best
+
+    __slots__ = ("_entries", "_position")
+
+    def __init__(self, vms: t.Sequence[BoughtVm]) -> None:
+        self._position = {vm: position for position, vm in enumerate(vms)}
+        self._entries = sorted(
+            (-vm.waste, position, vm) for position, vm in enumerate(vms))
+
+    def move(self, item: PlacedContainer, source: BoughtVm,
+             destination: BoughtVm) -> None:
+        """Move *item*; only its two VMs change waste, so only they are
+        taken out of the index and put back."""
+        entries = self._entries
+        position = self._position
+        for vm in (source, destination):
+            del entries[bisect.bisect_left(entries,
+                                           (-vm.waste, position[vm]))]
+        source.remove(item)
+        destination.place(item)
+        for vm in (source, destination):
+            bisect.insort(entries, (-vm.waste, position[vm], vm))
+
+    def destination(self, source: BoughtVm,
+                    item: PlacedContainer) -> BoughtVm | None:
+        """The most-wasted other VM that takes *item* and consolidates.
+
+        A destination must be strictly more wasted than the source would
+        be attractive to fill — otherwise containers would oscillate
+        between equally-loaded VMs forever.  The walk inlines
+        :meth:`BoughtVm.fits`; its exact comparisons, and the scan's
+        first-wins strict tie-break, decide which VM takes each
+        container.
+        """
+        cpu = item.cpu
+        memory = item.memory
+        source_waste = source.waste
+        floor = source_waste + 1e-12
+        cluster: list[tuple[int, float, BoughtVm]] = []
+        lowest = 0.0
+        for neg_waste, position, vm in self._entries:
+            waste = -neg_waste
+            if waste <= floor:
+                break
+            if (vm is source or not cpu <= vm.free_cpu + 1e-12
+                    or not memory <= vm.free_memory + 1e-12):
+                continue
+            if cluster and lowest > waste + 1e-12:
+                break
+            cluster.append((position, waste, vm))
+            lowest = waste
+        if len(cluster) < 2:
+            return cluster[0][2] if cluster else None
+        cluster.sort()
+        best: BoughtVm | None = None
+        best_waste = source_waste
+        for _, waste, vm in cluster:
+            if waste > best_waste + 1e-12:
+                best, best_waste = vm, waste
+        return best
 
 
 def _resplit(vm: BoughtVm) -> list[BoughtVm]:
@@ -157,13 +220,11 @@ def _resplit(vm: BoughtVm) -> list[BoughtVm]:
         # by the caller), but nothing to split.
         return [vm]
 
-    def group_size(group: list[PlacedContainer]) -> tuple[float, float]:
-        return (sum(i.cpu for i in group), sum(i.memory for i in group))
-
-    groups.sort(key=lambda g: max(*group_size(g)), reverse=True)
+    sized = [(sum(i.cpu for i in group), sum(i.memory for i in group), group)
+             for group in groups]
+    sized.sort(key=lambda s: max(s[0], s[1]), reverse=True)
     new_vms: list[BoughtVm] = []
-    for group in groups:
-        cpu, memory = group_size(group)
+    for cpu, memory, group in sized:
         best: BoughtVm | None = None
         best_waste = float("inf")
         for candidate in new_vms:

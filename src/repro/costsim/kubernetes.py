@@ -28,9 +28,11 @@ def schedule_user(pods: t.Sequence[TracePod],
     direction = {"most-requested": 1.0, "least-requested": -1.0}[policy]
     vms: list[BoughtVm] = []
     for pod in sorted(pods, key=lambda p: p.size_key, reverse=True):
-        target = _pick_node(vms, pod, direction)
+        cpu = pod.cpu
+        memory = pod.memory
+        target = _pick_node(vms, cpu, memory, direction)
         if target is None:
-            target = BoughtVm(cheapest_fitting(pod.cpu, pod.memory),
+            target = BoughtVm(cheapest_fitting(cpu, memory),
                               name=f"vm-{len(vms)}")
             vms.append(target)
         for container in pod.containers:
@@ -44,13 +46,14 @@ def schedule_user(pods: t.Sequence[TracePod],
     return vms
 
 
-def _pick_node(vms: t.Sequence[BoughtVm], pod: TracePod,
+def _pick_node(vms: t.Sequence[BoughtVm], cpu: float, memory: float,
                direction: float) -> BoughtVm | None:
-    """Among VMs that can hold the whole pod, the best-scoring one."""
+    """Among VMs that can hold the whole pod (*cpu*, *memory* are its
+    totals), the best-scoring one."""
     best: BoughtVm | None = None
     best_score = -float("inf")
     for vm in vms:
-        if not vm.fits(pod.cpu, pod.memory):
+        if not vm.fits(cpu, memory):
             continue
         score = direction * vm.requested_score()
         if score > best_score:
