@@ -13,12 +13,10 @@ from repro.analysis.model import (
     StreamPrediction,
     predict_rr_latency,
     predict_stream_throughput,
-    sweep_message_sizes,
 )
 
 __all__ = [
     "StreamPrediction",
     "predict_rr_latency",
     "predict_stream_throughput",
-    "sweep_message_sizes",
 ]

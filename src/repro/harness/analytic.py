@@ -4,8 +4,7 @@ Runs the fig 4 sweep twice — once through the discrete-event engine,
 once through :mod:`repro.analysis`'s closed form — and reports the
 agreement per (mode, size) point.  A reproduction whose two independent
 performance mechanisms diverge is lying somewhere; this experiment
-keeps them honest (and the analytic rows cost microseconds, so it also
-demonstrates the fast-sweep API).
+keeps them honest.
 """
 
 from __future__ import annotations

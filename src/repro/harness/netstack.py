@@ -13,7 +13,8 @@ idiom, so lane order cannot perturb determinism):
     One traced message: per-stage cycles under the backend's own cost
     model (its :meth:`~repro.netstack.module.NetworkStackModule.refine`
     and ``cost_model`` hooks applied), the analytic frames/sec bound
-    and the uncontended one-way latency.
+    (the busiest CPU domain's capacity on all of its cores) and the
+    uncontended one-way latency.
 
 ``clean``
     ``netstack_frames`` frame-fidelity sends; every backend must

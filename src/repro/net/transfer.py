@@ -249,18 +249,24 @@ class TransferEngine:
 
     def cpu(self, domain: str) -> CpuResource:
         cpu = self._domains.get(domain)
+        if cpu is None:
+            cores, freq_hz = self.cpu_spec(domain)
+            cpu = self._domains[domain] = CpuResource(
+                self.env, cores=cores, freq_hz=freq_hz, name=domain)
+        return cpu
+
+    def cpu_spec(self, domain: str) -> tuple[int, float]:
+        """``(cores, freq_hz)`` of *domain*'s CPU, without creating it.
+
+        Kernel threads (vhost workers, the hostlo handler) and per-guest
+        RX softirq contexts are single-core serialization points at the
+        cost model's clock; :meth:`cpu` creates them on first use.
+        """
+        cpu = self._domains.get(domain)
         if cpu is not None:
-            return cpu
+            return cpu.cores, cpu.freq_hz
         if domain.startswith(("kthread:", "softirq:")):
-            # Kernel threads (vhost workers, the hostlo handler) and
-            # per-guest RX softirq contexts are single-core
-            # serialization points, created on first use.
-            cpu = CpuResource(
-                self.env, cores=1, freq_hz=self.cost_model.freq_hz,
-                name=domain,
-            )
-            self._domains[domain] = cpu
-            return cpu
+            return 1, self.cost_model.freq_hz
         raise ConfigurationError(
             f"no CPU registered for domain {domain!r} "
             f"(have: {sorted(self._domains)})"
@@ -375,37 +381,51 @@ class TransferEngine:
         return timings
 
     # -- analytics -------------------------------------------------------------
-    def latency_estimate(self, path: Datapath, nbytes: int,
-                         cost_model: CostModel | None = None) -> float:
-        """Uncontended one-way latency (seconds): pure service + wakeups.
+    def stage_seconds(
+        self, path: Datapath, nbytes: int, stream: bool = False,
+        cost_model: CostModel | None = None,
+    ) -> list[tuple[str, float, float]]:
+        """``(domain, service_s, wakeup_s)`` per stage of one message.
 
-        Useful for sanity checks and fast parameter sweeps; the DES adds
-        queueing on top of this.
+        The closed form of what :meth:`transfer` plays: each stage's
+        cycles over its own domain's clock (:meth:`cpu_spec`, so no
+        lazy CPU is created), and its wakeup.
         """
         model = cost_model or self.cost_model
+        return [(domain, cycles / self.cpu_spec(domain)[1], wakeup)
+                for _, domain, _, _, cycles, wakeup
+                in stage_plan(path, nbytes, stream, model)]
+
+    def latency_estimate(
+        self, path: Datapath, nbytes: int, stream: bool = False,
+        cost_model: CostModel | None = None,
+    ) -> float:
+        """Uncontended one-way latency (seconds): pure service + wakeups.
+
+        Equals the DES time of one message on idle CPUs; the DES adds
+        queueing on top of this.
+        """
         total = 0.0
-        for *_, cycles, wakeup in stage_plan(path, nbytes, False, model):
-            total += cycles / model.freq_hz + wakeup
+        for _, service, wakeup in self.stage_seconds(
+                path, nbytes, stream, cost_model):
+            # Two adds, in the order the DES advances its clock.
+            total += service
+            total += wakeup
         return total
 
     def bottleneck_rate(self, path: Datapath, nbytes: int,
                         cost_model: CostModel | None = None) -> float:
-        """Single-core streaming rate (messages/s) from per-domain work.
+        """Streaming capacity (messages/s) of the busiest CPU domain.
 
-        The rate at which the busiest CPU domain clears one message's
-        work on *one* core; batchable stages are amortised as they would
-        be under streaming.  It is not an upper bound on the DES: with
-        several messages in flight a multi-core domain serves stages on
-        all of its cores, and the streamed rate can exceed this figure
-        (brfusion at 16384 B by 1.58x in the perfbench netperf grid).
+        Each domain clears ``cores / busy_seconds`` messages per second
+        with batchable stages amortised as under streaming; the smallest
+        is an upper bound on the rate the DES streams at, however many
+        messages are in flight.
         """
-        model = cost_model or self.cost_model
-        per_domain: dict[str, float] = {}
-        for _, domain, _, _, cycles, _ in stage_plan(path, nbytes, True, model):
-            per_domain[domain] = per_domain.get(domain, 0.0) + cycles
-        worst = max(per_domain.values())
-        if worst <= 0.0:
-            return float("inf")
-        # Assume the busiest domain's stages run on one core, as a single
-        # flow's would; concurrent messages spread over more.
-        return model.freq_hz / worst
+        busy: dict[str, float] = {}
+        for domain, service, _ in self.stage_seconds(
+                path, nbytes, True, cost_model):
+            busy[domain] = busy.get(domain, 0.0) + service
+        return min((self.cpu_spec(domain)[0] / seconds
+                    for domain, seconds in busy.items() if seconds > 0.0),
+                   default=float("inf"))

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    predict_rr_latency,
-    predict_stream_throughput,
-    sweep_message_sizes,
-)
+from repro.analysis import predict_rr_latency, predict_stream_throughput
 from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
@@ -71,15 +67,3 @@ def test_small_window_becomes_the_bound():
     )
     assert prediction.window_bound
 
-
-def test_sweep_is_instant_and_monotone_for_nocont():
-    tb = default_testbed(seed=31, vms=2)
-    scenario = build_scenario(tb, "nocont")
-    forward, reverse = scenario.paths("tcp")
-    rows = sweep_message_sizes(
-        tb.engine, forward, reverse, scenario.ack_path("tcp"),
-        sizes=(64, 256, 1024, 4096, 16384),
-    )
-    throughputs = [r["throughput_mbps"] for r in rows]
-    assert throughputs == sorted(throughputs)
-    assert rows[0]["rr_latency_us"] < rows[-1]["rr_latency_us"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import predict_rr_latency, predict_stream_throughput
 from repro.errors import ConfigurationError
 from repro.net import CostModel, StageCost, resolve_path
 from repro.net.addresses import ip
@@ -210,6 +211,9 @@ class TestStagePlan:
         before = eng.domains()
         eng.bottleneck_rate(path, 1280)
         eng.latency_estimate(path, 1280)
+        predict_stream_throughput(eng, path, path, 1280)
+        predict_rr_latency(eng, path, path, 1280)
+        assert eng.domains().keys() == before.keys()
         env.process(eng.transfer(path, 1280))
         env.step()  # starts the process: plans the message, runs stage 1
         assert eng.domains().keys() == before.keys()
