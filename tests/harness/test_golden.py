@@ -43,7 +43,7 @@ EXPERIMENTS = (
     "fig13", "fig14", "fig15", "netstack", "reliability", "analytic_check",
     "ablation_hostlo_thread", "ablation_netfilter_cost",
     "ablation_rule_bloat", "ablation_no_batching",
-    "fabric", "ablation_scheduler_policy",
+    "fabric", "ablation_scheduler_policy", "online_cost",
 )
 
 
