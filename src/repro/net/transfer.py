@@ -24,7 +24,7 @@ from repro.net.costs import CostModel
 from repro.net.path import Datapath
 from repro.obs import metrics as _active_metrics
 from repro.sim import CpuResource, Environment, Event
-from repro.sim.events import NORMAL, PENDING
+from repro.sim.events import NORMAL
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.net.arq import ReliableTransfer
@@ -80,19 +80,24 @@ class StageTiming:
 class _StageWalker:
     """Carries one message along its stage plan on callbacks.
 
-    The walker is the completion target of each stage's CPU job (see
-    :meth:`CpuResource.execute`) and its own heap entry for each wakeup,
+    The walker is its own CPU job for each stage (see
+    :meth:`CpuResource.execute`): it carries the job's fields, waits in
+    the CPU's queue and is the heap entry while in service, so a stage
+    allocates nothing.  It is also its own heap entry for each wakeup,
     so a stage costs no process resume, generator step or event.  When
     the last stage completes it runs its waiter's callbacks inline: the
     sending process resumes at the same point of the ``(time, priority,
     seq)`` order as it would have stepping through the stages itself.
-    It has the attributes :meth:`Environment.step` and
-    ``CpuResource._finish`` read from an event.
+    It has the attributes :meth:`Environment.step` reads from an event;
+    traced runs name it ``Timeout``, as the service timeouts and wakeup
+    timeouts it stands in for, except for a pushed CPU completion
+    (:meth:`push_cpu_done`), named ``Event``.
     """
 
-    __slots__ = ("callbacks", "_value", "step_name", "engine", "env",
-                 "plan", "pos", "waiter", "timings", "recording", "started",
-                 "cpu_done", "tracer", "parent", "span", "queue_depth")
+    __slots__ = ("callbacks", "step_name", "engine", "env", "plan", "pos",
+                 "waiter", "timings", "recording", "started", "cpu_done_at",
+                 "tracer", "parent", "span", "queue_depth",
+                 "cycles", "account", "enqueued_at", "started_at")
 
     _ok = True
 
@@ -106,6 +111,7 @@ class _StageWalker:
         self.waiter: Event | None = None
         self.timings = timings
         self.span = None
+        self.step_name = "Timeout"
         tracer = env.tracer
         if timings is not None or not tracer.enabled:
             self.tracer = None
@@ -143,14 +149,13 @@ class _StageWalker:
                                      domain=domain)
             self.started = env._now
             if cycles > 0.0:
-                # ``_finish`` pushes a target whose ``_value`` is set.
-                self.callbacks = _AFTER_CPU
-                self._value = PENDING
                 self.engine.cpu(domain).execute(cycles, account, self)
                 return True
-            self.cpu_done = env._now
+            self.cpu_done_at = env._now
             if wakeup > 0.0:
-                self._sleep(wakeup)
+                self.callbacks = _AFTER_WAKEUP
+                heappush(env._heap,
+                         (env._now + wakeup, NORMAL, next(env._seq), self))
                 return True
             if self.recording:
                 self._record()
@@ -159,31 +164,32 @@ class _StageWalker:
             tracer.end(self.parent)
         return False
 
-    def succeed(self) -> None:
+    def push_cpu_done(self) -> None:
         """Push the CPU completion through the heap, as ``_finish`` does
         when something else is due now or a tracer is on; traced runs
         name the step ``Event`` like the event it stands in for."""
         env = self.env
+        self.callbacks = _AFTER_PUSHED_CPU
         self.step_name = "Event"
         heappush(env._heap, (env._now, NORMAL, next(env._seq), self))
 
-    def _sleep(self, wakeup: float) -> None:
-        """Push the walker as the stage's wakeup, named ``Timeout`` in
-        traced runs like the event it stands in for."""
-        env = self.env
-        self.callbacks = _AFTER_WAKEUP
+    def _after_pushed_cpu(self) -> None:
         self.step_name = "Timeout"
-        heappush(env._heap, (env._now + wakeup, NORMAL, next(env._seq), self))
+        self.cpu_done()
 
-    def _after_cpu(self) -> None:
+    def cpu_done(self) -> None:
+        """The current stage's CPU job is through: sleep its wakeup or
+        go on (``_finish`` calls this inline when nothing else is due)."""
         if self.waiter is None:
             return
-        self.cpu_done = self.env._now
+        env = self.env
+        self.cpu_done_at = now = env._now
         wakeup = self.plan[self.pos][5]
         if wakeup > 0.0:
-            self._sleep(wakeup)
-        else:
-            self._next_stage()
+            self.callbacks = _AFTER_WAKEUP
+            heappush(env._heap, (now + wakeup, NORMAL, next(env._seq), self))
+            return
+        self._next_stage()
 
     def _after_wakeup(self) -> None:
         if self.waiter is not None:
@@ -194,7 +200,7 @@ class _StageWalker:
         if self.timings is not None:
             stage, domain, label, _, cycles, _ = self.plan[self.pos]
             self.timings.append(StageTiming(
-                stage, domain, label, self.started, self.cpu_done,
+                stage, domain, label, self.started, self.cpu_done_at,
                 self.env._now, cycles))
         if self.span is not None:
             self.tracer.end(self.span)
@@ -219,7 +225,7 @@ class _StageWalker:
             callback(waiter)
 
 
-_AFTER_CPU = (_StageWalker._after_cpu,)
+_AFTER_PUSHED_CPU = (_StageWalker._after_pushed_cpu,)
 _AFTER_WAKEUP = (_StageWalker._after_wakeup,)
 
 

@@ -5,9 +5,16 @@ Ordering contract: events run in ``(time, priority, seq)`` order, where
 already-processed events) before ordinary ones at the same instant and
 ``seq`` is a global insertion counter, so same-instant ties resolve
 first-scheduled-first.  Every optimisation in the kernel must keep this
-order exactly; :meth:`repro.sim.CpuResource._finish` and the datapath's
-stage walker (:mod:`repro.net.transfer`) are the places that run an
-event's callbacks without a heap round trip.
+order exactly.  The places that skip a heap round trip:
+
+* :meth:`repro.sim.CpuResource._finish` completes a job inline when
+  nothing else is due at or before now: a plain job's event, or the
+  datapath's stage walker (:mod:`repro.net.transfer`), which is its own
+  CPU job and goes straight on to its next stage;
+* the walker resumes its sending process inline after the last stage;
+* :meth:`Environment.run` pops and dispatches entries in its own loop
+  when no tracer is on, instead of calling :meth:`Environment.step`
+  per event; the entries and their order are the same.
 """
 
 from __future__ import annotations
@@ -122,8 +129,7 @@ class Environment:
             value, or raise its exception if it failed.
         """
         if until is None:
-            while self._heap:
-                self.step()
+            self._run(float("inf"), ())
             return None
 
         if isinstance(until, Event):
@@ -131,8 +137,7 @@ class Environment:
             if sentinel.callbacks is not None:
                 stopped: list[Event] = []
                 sentinel.callbacks.append(stopped.append)
-                while self._heap and not stopped:
-                    self.step()
+                self._run(float("inf"), stopped)
                 if not stopped:
                     raise SimulationError(
                         "run(until=event): schedule emptied first")
@@ -147,9 +152,32 @@ class Environment:
             raise SimulationError(
                 f"cannot run until {horizon} which is before now={self._now}"
             )
-        while self._heap and self._heap[0][0] <= horizon:
-            self.step()
+        self._run(horizon, ())
         self._now = horizon
         if self.tracer.enabled:
             self.tracer.now = horizon
         return None
+
+    def _run(self, horizon: float, stopped: t.Sized) -> None:
+        """Process events due at or before *horizon* until *stopped*
+        fills or the heap empties.
+
+        Untraced, the loop pops and dispatches each entry itself, exactly
+        as :meth:`step` would, without a call per event.
+        """
+        heap = self._heap
+        if self.tracer.enabled:
+            while heap and heap[0][0] <= horizon and not stopped:
+                self.step()
+            return
+        pop = heapq.heappop
+        while heap and heap[0][0] <= horizon and not stopped:
+            when, _prio, _seq, event = pop(heap)
+            self._now = when
+            callbacks = event.callbacks
+            event.callbacks = None  # mark processed
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event._defused:
+                raise event._value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import typing as t
 from collections import deque
 from heapq import heappush
@@ -72,12 +74,14 @@ class Store:
 
 
 class _Job:
-    """One job on a :class:`CpuResource`.
+    """One plain job on a :class:`CpuResource`; ``done`` is its event.
 
     While in service the job is its own heap entry: the environment pops
     it at its completion time and, through ``callbacks``, calls the
     CPU's ``_finish``.  It has just the attributes
-    :meth:`Environment.step` reads from an event.
+    :meth:`Environment.step` reads from an event.  A job submitted with
+    a target (the datapath's stage walker) needs no ``_Job``: the target
+    has the same fields and methods and is the job itself.
     """
 
     __slots__ = ("callbacks", "cycles", "account", "done", "enqueued_at",
@@ -88,13 +92,30 @@ class _Job:
     #: it used to be, so traces keep their shape.
     step_name = "Timeout"
 
-    def __init__(self, cycles: float, account: str, done: t.Any,
+    def __init__(self, cycles: float, account: str, done: Event,
                  enqueued_at: float):
         self.cycles = cycles
         self.account = account
         self.done = done
         self.enqueued_at = enqueued_at
         self.started_at: float | None = None
+
+    def push_cpu_done(self) -> None:
+        """Complete ``done`` through the heap."""
+        self.done.succeed()
+
+    def cpu_done(self) -> None:
+        """Complete ``done`` now: run its callbacks without a heap round
+        trip."""
+        done = self.done
+        if done._value is not PENDING:
+            # Triggered by hand: ``succeed`` raises, as a push would.
+            done.succeed()
+        done._value = None
+        callbacks = done.callbacks
+        done.callbacks = None
+        for callback in callbacks:
+            callback(done)
 
 
 class CpuResource:
@@ -121,16 +142,22 @@ class CpuResource:
         freq_hz: float = 2.2e9,
         name: str = "cpu",
     ) -> None:
-        if cores < 1:
-            raise SimulationError(f"cores must be >= 1: {cores!r}")
-        if freq_hz <= 0:
-            raise SimulationError(f"freq_hz must be positive: {freq_hz!r}")
+        # An integral count (``True`` is not one); a fractional or NaN
+        # count would leave ``_idle`` never reaching zero or never
+        # admitting a job.
+        if (isinstance(cores, bool) or not isinstance(cores, numbers.Integral)
+                or cores < 1):
+            raise SimulationError(f"cores must be an integer >= 1: {cores!r}")
+        # Written so that NaN fails too: NaN compares false either way.
+        if not 0 < freq_hz < math.inf:
+            raise SimulationError(
+                f"freq_hz must be positive and finite: {freq_hz!r}")
         self.env = env
-        self.cores = cores
+        self.cores = int(cores)
         self.freq_hz = float(freq_hz)
         self.name = name
-        self._idle = cores
-        self._queue: deque[_Job] = deque()
+        self._idle = self.cores
+        self._queue: deque[t.Any] = deque()
         self._busy: dict[str, float] = {}
         self._window_start = env.now
         self._jobs_done = 0
@@ -142,19 +169,32 @@ class CpuResource:
                 _target: t.Any = None) -> Event:
         """Submit a job of *cycles*; the event succeeds when it finishes.
 
-        *_target* is internal: an object that stands in for the event
-        (the datapath's stage walker) and is returned instead.  It gets
-        the same completion as an event: ``succeed()`` when ``_finish``
-        must go through the heap, its ``callbacks`` run inline otherwise.
+        *_target* is internal: the datapath's stage walker, which is
+        returned instead of an event and is its own job: it carries the
+        job's ``cycles``, ``account``, ``enqueued_at`` and ``started_at``,
+        sits in the queue and on the heap itself, and ``_finish``
+        completes it through the ``cpu_done``/``push_cpu_done`` pair that
+        a plain job has too.
         """
         # Written so that NaN fails too: NaN compares false either way.
         if not cycles >= 0:
             raise SimulationError(f"negative cycles: {cycles!r}")
         env = self.env
-        done = Event(env) if _target is None else _target
-        job = _Job(float(cycles), account, done, env._now)
+        now = env._now
+        if _target is None:
+            done = Event(env)
+            job = _Job(float(cycles), account, done, now)
+        else:
+            done = job = _target
+            job.cycles = float(cycles)
+            job.account = account
+            job.enqueued_at = now
         if self._idle > 0:
-            self._start(job)
+            self._idle -= 1
+            job.started_at = now
+            job.callbacks = self._finish_callbacks
+            heappush(env._heap, (now + job.cycles / self.freq_hz, NORMAL,
+                                 next(env._seq), job))
         else:
             self._queue.append(job)
         return done
@@ -164,43 +204,34 @@ class CpuResource:
         return cycles / self.freq_hz
 
     # -- internals --------------------------------------------------------
-    def _start(self, job: _Job) -> None:
-        self._idle -= 1
+    def _finish(self, job: t.Any) -> None:
         env = self.env
         now = env._now
-        job.started_at = now
-        job.callbacks = self._finish_callbacks
-        heappush(env._heap,
-                 (now + job.cycles / self.freq_hz, NORMAL, next(env._seq), job))
-
-    def _finish(self, job: _Job) -> None:
-        assert job.started_at is not None
-        env = self.env
-        now = env._now
-        duration = now - job.started_at
-        self._busy[job.account] = self._busy.get(job.account, 0.0) + duration
+        started_at = job.started_at
+        account = job.account
+        self._busy[account] = self._busy.get(account, 0.0) + (now - started_at)
         self._jobs_done += 1
-        self._wait_total += job.started_at - job.enqueued_at
-        self._idle += 1
-        if self._queue:
-            self._start(self._queue.popleft())
-        done = job.done
+        self._wait_total += started_at - job.enqueued_at
         heap = env._heap
-        if ((heap and heap[0][0] <= now) or env.tracer.enabled
-                or done._value is not PENDING):
-            done.succeed()
-            return
-        # Nothing else is due at or before now, so ``done`` would be the
-        # very next event popped: run its callbacks here instead of
-        # pushing it and popping it straight back.  The (time, priority,
-        # seq) order of everything else is unchanged.  Traced runs keep
-        # the push so that their sim.step spans stay the same.  The same
-        # rule serves an event and an ``execute`` target.
-        done._value = None
-        callbacks = done.callbacks
-        done.callbacks = None
-        for callback in callbacks:
-            callback(done)
+        if self._queue:
+            # The freed core goes straight to the oldest waiting job.
+            queued = self._queue.popleft()
+            queued.started_at = now
+            queued.callbacks = self._finish_callbacks
+            heappush(heap, (now + queued.cycles / self.freq_hz, NORMAL,
+                            next(env._seq), queued))
+        else:
+            self._idle += 1
+        # The completion runs inline when nothing else is due at or
+        # before now: pushed, it would be the very next event popped, so
+        # running it here instead of pushing it and popping it straight
+        # back leaves the (time, priority, seq) order of everything else
+        # unchanged.  Traced runs keep the push so that their sim.step
+        # spans stay the same.  One rule for a plain job and a walker.
+        if (heap and heap[0][0] <= now) or env.tracer.enabled:
+            job.push_cpu_done()
+        else:
+            job.cpu_done()
 
     # -- accounting -------------------------------------------------------
     @property

@@ -337,3 +337,166 @@ class TestInterrupts:
         env.process(sender())
         env.run()
         assert caught == [(2.0, "ConfigurationError")]
+
+
+# -- mixed queues: plain jobs and walkers in one FIFO -------------------------
+
+#: A 2 s blocker on the single-core kthread:x, and a two-stage path whose
+#: first stage queues behind it there.
+MIXED = [[("kthread:x", 2000.0, 0.0, "usr", 1.0)],
+         [("kthread:x", 1000.0, 0.0, "sys", 1.0),
+          ("vm:a", 1000.0, 1.0, "soft", 1.0)]]
+
+
+def mixed_queue(impl: type, interrupt_at: float | None) -> tuple:
+    """Plain ``execute`` jobs and a walker interleaved in one queue.
+
+    At t=0 kthread:x runs the blocker and queues a plain job, the
+    second path's first stage and another plain job, in that order.
+    With *interrupt_at* the sender of that stage is interrupted then.
+    """
+    env, engine, (blocker, path) = build(MIXED)
+    log: list[tuple] = []
+    queued: list[list[str]] = []
+
+    def plain(tag: str) -> t.Generator:
+        yield engine.cpu("kthread:x").execute(500.0, "usr")
+        log.append((env.now, tag))
+
+    def sender() -> t.Generator:
+        try:
+            yield from impl.transfer(engine, path, 0, False)
+            log.append((env.now, "delivered"))
+        except Interrupt as exc:
+            log.append((env.now, "interrupted", exc.cause))
+
+    def interrupter(proc: t.Any) -> t.Generator:
+        yield env.timeout(interrupt_at)
+        queued.append([type(job).__name__
+                       for job in engine.cpu("kthread:x")._queue])
+        proc.interrupt("stop")
+
+    env.process(impl.transfer(engine, blocker, 0, False))
+    env.process(plain("first"))
+    victim = env.process(sender())
+    env.process(plain("last"))
+    if interrupt_at is not None:
+        env.process(interrupter(victim))
+    env.run()
+    cpus = {name: (cpu.breakdown(), cpu.mean_wait(), cpu.busy_cores,
+                   cpu.queue_depth)
+            for name, cpu in engine.domains().items()}
+    return log, env.now, cpus, queued
+
+
+def mixed_queue_traced(impl: type, interrupt_at: float | None) -> tuple:
+    with obs.capture() as (tracer, metrics):
+        result = mixed_queue(impl, interrupt_at)
+    # An abandoned walker's pushed completion still holds its own
+    # continuation (which returns at once), where the reference's
+    # orphaned event has no callback: the one ``callbacks`` count that
+    # differs.  Everything else, step names included, must match.
+    spans = [(s.sid, s.parent, s.category, s.name, s.start, s.end,
+              {} if s.category == "sim.step" else s.attrs)
+             for s in tracer.spans]
+    return result[:3], spans, metrics.snapshot()
+
+
+class TestMixedQueues:
+    def test_walker_and_plain_jobs_share_one_fifo(self):
+        log, now, cpus, queued = mixed_queue(Walker, 1.0)
+        # The walker is the job itself, between the two plain jobs.
+        assert queued == [["_Job", "_StageWalker", "_Job"]]
+        assert mixed_queue(Reference, 1.0)[3] == [["_Job", "_Job", "_Job"]]
+        assert log == [(1.0, "interrupted", "stop"), (2.5, "first"),
+                       (4.0, "last")]
+        assert now == 4.0
+
+    def test_interrupted_while_queued_is_billed_and_goes_no_further(self):
+        log, now, cpus, _ = mixed_queue(Walker, 1.0)
+        # The queued stage still runs (2.5 to 3.5) and is billed; the
+        # vm:a stage never starts.
+        assert cpus["kthread:x"][0] == {"usr": 3.0, "sys": 1.0}
+        assert cpus["vm:a"][0] == {}
+        assert all(busy == 0 and depth == 0
+                   for _, _, busy, depth in cpus.values())
+
+    @pytest.mark.parametrize("interrupt_at", [None, 0.0, 1.0, 2.0, 2.5, 3.0,
+                                              3.5, 4.0, 4.5, 5.0])
+    def test_matches_the_reference_untraced(self, interrupt_at):
+        walker = mixed_queue(Walker, interrupt_at)
+        reference = mixed_queue(Reference, interrupt_at)
+        assert walker[:3] == reference[:3]
+
+    @pytest.mark.parametrize("interrupt_at", [None, 1.0, 2.5, 4.0])
+    def test_matches_the_reference_traced(self, interrupt_at):
+        assert (mixed_queue_traced(Walker, interrupt_at)
+                == mixed_queue_traced(Reference, interrupt_at))
+
+    def test_delivered_without_an_interrupt(self):
+        log, now, cpus, _ = mixed_queue(Walker, None)
+        # kthread:x 2.5 to 3.5, then vm:a 3.5 to 4.5 and a 1 s wakeup.
+        assert log == [(2.5, "first"), (4.0, "last"), (5.5, "delivered")]
+        assert cpus["vm:a"][0] == {"soft": 1.0}
+
+
+def count_steps(impl: type, program: tuple) -> tuple[int, list[str]]:
+    """Drive *program*'s senders through ``Environment.step`` alone, as
+    a step-counting benchmark does; returns the step count and, from a
+    traced run, the ``sim.step`` names."""
+    paths, procs, _ = program
+
+    def once() -> int:
+        env, engine, datapaths = build(paths)
+        for start, sends in procs:
+            def body(start=start, sends=sends) -> t.Generator:
+                yield env.timeout(start)
+                for _, p, stream in sends:
+                    yield from impl.transfer(engine, datapaths[p], 0, stream)
+            env.process(body())
+        steps = 0
+        while env._heap:
+            env.step()
+            steps += 1
+        return steps
+
+    steps = once()
+    with obs.capture() as (tracer, _):
+        once()
+    return steps, [s.name for s in tracer.spans if s.category == "sim.step"]
+
+
+class TestHeapEntries:
+    """Completions run inline exactly when nothing else is due, so an
+    untraced run has one heap entry per CPU stage and wakeup; traced runs
+    push every completion and keep the reference's step names."""
+
+    #: One sender, three stages of CPU then a wakeup: the initialize,
+    #: start timeout and process end, plus one job and one wakeup per
+    #: stage.
+    ALONE = (THREE_STAGES, [(0.0, [("send", 0, False)])], 0.0)
+    #: Two senders whose stages finish together on 2-core domains: each
+    #: completion has company (the other job, then the other's pushed
+    #: completion), so all four are pushed.
+    TOGETHER = ([[("host", 1000.0, 0.0, "usr", 1.0),
+                  ("vm:a", 1000.0, 1.0, "sys", 1.0)]],
+                [(0.0, [("send", 0, False)]), (0.0, [("send", 0, False)])],
+                0.0)
+
+    def test_a_lone_message_pushes_no_completion(self):
+        steps, names = count_steps(Walker, self.ALONE)
+        assert steps == 3 + 3 * 2
+        assert names == ["Initialize", "Timeout", "Timeout", "Event",
+                         "Timeout", "Timeout", "Event", "Timeout", "Timeout",
+                         "Event", "Timeout", "Process"]
+
+    def test_a_same_instant_completion_is_pushed(self):
+        steps, names = count_steps(Walker, self.TOGETHER)
+        # Per sender: initialize, start timeout, process end, two jobs,
+        # one wakeup; plus the four pushed completions.
+        assert steps == 2 * 6 + 4
+        assert names == count_steps(Reference, self.TOGETHER)[1]
+
+    def test_traced_step_names_match_the_reference(self):
+        assert (count_steps(Walker, self.ALONE)[1]
+                == count_steps(Reference, self.ALONE)[1])

@@ -260,8 +260,18 @@ def play(program: tuple, env: t.Any, cpus: list, all_of: t.Callable
     return log
 
 
-def run_kernel(program: tuple) -> tuple:
-    env = Environment()
+class _SteppedEnvironment(Environment):
+    """Driven through the public :meth:`Environment.step` alone, as a
+    step-counting benchmark does, instead of the ``run`` loop."""
+
+    def run(self, until: t.Any = None) -> None:
+        assert until is None
+        while self._heap:
+            self.step()
+
+
+def run_kernel(program: tuple, environment: type = Environment) -> tuple:
+    env = environment()
     cpus = [CpuResource(env, cores=c, freq_hz=FREQ_HZ, name=f"c{i}")
             for i, c in enumerate(program[0])]
     log = play(program, env, cpus, AllOf)
@@ -288,6 +298,12 @@ class TestKernelMatchesReference:
         with obs.capture():
             traced = run_kernel(program)
         assert traced == run_reference(program)
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs)
+    def test_stepping_one_event_at_a_time_matches_too(self, program):
+        assert (run_kernel(program, _SteppedEnvironment)
+                == run_reference(program))
 
     def test_same_instant_completions_keep_their_order(self):
         # Two jobs end together on a 2-core CPU with a timeout due

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine and events."""
 
+import contextlib
+
 import pytest
 
 from repro.errors import SimulationError
@@ -34,6 +36,23 @@ def test_run_until_time_stops_clock_exactly():
     env.timeout(10.0)
     env.run(until=3.0)
     assert env.now == 3.0
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_until_time_runs_events_due_by_then_and_no_later(traced):
+    from repro import obs
+
+    fired: list[float] = []
+    with obs.capture() if traced else contextlib.nullcontext():
+        env = Environment()
+        for delay in (1.0, 3.0, 3.0 + 1e-9, 10.0):
+            env.timeout(delay).callbacks.append(
+                lambda ev: fired.append(env.now))
+        env.run(until=3.0)
+        assert fired == [1.0, 3.0] and env.now == 3.0
+        assert env.peek() == 3.0 + 1e-9
+        env.run()
+    assert fired == [1.0, 3.0, 3.0 + 1e-9, 10.0]
 
 
 def test_timeout_nan_delay_rejected():

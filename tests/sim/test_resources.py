@@ -269,6 +269,21 @@ class TestCpuResource:
         with pytest.raises(SimulationError):
             CpuResource(env, freq_hz=0)
 
+    @pytest.mark.parametrize("freq_hz", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_non_finite_freq_rejected(self, freq_hz):
+        # A NaN clock made every service time NaN and so env.now.
+        with pytest.raises(SimulationError):
+            CpuResource(Environment(), freq_hz=freq_hz)
+
+    @pytest.mark.parametrize("cores", [float("nan"), 1.5, 2.0, True, "2",
+                                       -1])
+    def test_non_integer_cores_rejected(self, cores):
+        # cores=nan queued every job forever; cores=1.5 ran two jobs at
+        # once (_idle went 1.5 -> 0.5 -> -0.5).
+        with pytest.raises(SimulationError):
+            CpuResource(Environment(), cores=cores)
+
     def test_seconds_for(self):
         env = Environment()
         cpu = CpuResource(env, freq_hz=2.0e9)
