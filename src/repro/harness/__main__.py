@@ -11,6 +11,7 @@ Usage::
     python -m repro.harness fig04 --trace out/ # Perfetto trace + span dump
     python -m repro.harness reliability --pcap out/ --flows
     python -m repro.harness chaos --faults examples/faults_plan.json
+    python -m repro.harness fig10 --profile    # host time per repro package
 
 Campaign mode (parallel workers + content-addressed result cache)::
 
@@ -38,6 +39,7 @@ import pathlib
 import sys
 import time
 
+from repro.harness import wallprofile
 from repro.harness.config import ExperimentConfig
 from repro.harness.registry import (
     EXPERIMENTS,
@@ -112,6 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", metavar="S1,S2,...",
                         help="run every experiment under each seed "
                              "(campaign mode; default: the preset's seed)")
+    parser.add_argument("--profile", action="store_true",
+                        help="run each experiment under cProfile and print "
+                             "host self time per repro package (sim, net, "
+                             "netstack, ...)")
     parser.add_argument("--serve", action="store_true",
                         help="boot the long-lived job service instead of "
                              "running experiments (see repro.service; "
@@ -150,8 +156,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.backend:
             parser.error("--backend runs serially (drop the campaign "
                          "flags: --jobs/--cache/--bench/--seeds)")
+        if args.profile:
+            parser.error("--profile runs serially (drop the campaign "
+                         "flags: --jobs/--cache/--bench/--seeds)")
         return _campaign_main(args, ids)
 
+    if args.profile and (args.trace or args.pcap or args.flows):
+        parser.error("--profile times an untraced run (drop --trace, "
+                     "--pcap and --flows)")
     config = ExperimentConfig.preset(args.preset)
     if args.faults:
         config = dataclasses.replace(config, fault_plan=args.faults)
@@ -176,6 +188,11 @@ def main(argv: list[str] | None = None) -> int:
             result, artifacts = run_experiment_traced(
                 experiment, config, trace_dir=args.trace
             )
+        elif args.profile:
+            result, wall_s, seconds = wallprofile.profile_call(
+                lambda: run_experiment(experiment, config))
+            artifacts = None
+            print(wallprofile.render(experiment, wall_s, seconds))
         else:
             result, artifacts = run_experiment(experiment, config), None
         elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 """Tests for the harness plumbing: config, results, registry, CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -395,6 +397,58 @@ class TestCaptureCli:
         ]) == 0
         parsed = read_pcapng(tmp_path / "reliability.pcapng")
         assert parsed.packets == ()  # nothing talks to that host
+
+    def test_profile_prints_self_time_per_package(self, capsys):
+        from repro.harness.__main__ import main
+
+        assert main(["reliability", "--preset", "quick", "--profile"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("[profile: reliability,"))
+        assert lines[head + 1].split() == ["package", "self_s", "share"]
+        rows = {}
+        for line in lines[head + 2:]:
+            if not line.strip() or line.startswith(("=", "[")):
+                break
+            name, seconds, share = line.split()
+            rows[name] = (float(seconds), float(share.rstrip("%")))
+        assert {"sim", "net"} <= set(rows)
+        assert sum(share for _, share in rows.values()) == pytest.approx(
+            100.0, abs=0.1 * len(rows))
+        # Largest first, and the result itself is still printed.
+        assert list(rows.values()) == sorted(rows.values(), reverse=True)
+        assert "[reliability finished in" in out
+
+    def test_profile_names_packages(self):
+        import repro
+        from repro.harness.wallprofile import package_of, package_seconds
+
+        root = pathlib.Path(repro.__file__).parent
+        assert package_of(str(root / "sim" / "engine.py")) == "sim"
+        assert package_of(str(root / "errors.py")) == "errors"
+        assert package_of(str(root / "__init__.py")) == "repro"
+        assert package_of(pytest.__file__) == "other"
+        # A builtin's time goes to its callers' packages, per caller.
+        engine = (str(root / "sim" / "engine.py"), 1, "run")
+        walker = (str(root / "net" / "transfer.py"), 1, "run")
+        stats = {
+            engine: (1, 1, 2.0, 9.0, {}),
+            walker: (1, 1, 1.0, 5.0, {}),
+            ("~", 0, "<heappush>"): (5, 5, 0.5, 0.5, {
+                engine: (3, 3, 0.25, 0.25), walker: (2, 2, 0.25, 0.25)}),
+            ("~", 0, "<orphan>"): (1, 1, 0.125, 0.125, {}),
+        }
+        assert package_seconds(stats) == {"sim": 2.25, "net": 1.25,
+                                          "other": 0.125}
+
+    @pytest.mark.parametrize("flags", [["--jobs", "2"], ["--trace", "out"],
+                                       ["--flows"]])
+    def test_profile_refused_with_other_run_modes(self, flags):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["table01", "--profile", *flags])
 
     def test_pcap_refused_in_campaign_mode(self, tmp_path):
         import pytest
