@@ -153,9 +153,7 @@ class _StageWalker:
                 return True
             self.cpu_done_at = env._now
             if wakeup > 0.0:
-                self.callbacks = _AFTER_WAKEUP
-                heappush(env._heap,
-                         (env._now + wakeup, NORMAL, next(env._seq), self))
+                self._sleep(wakeup)
                 return True
             if self.recording:
                 self._record()
@@ -182,14 +180,18 @@ class _StageWalker:
         go on (``_finish`` calls this inline when nothing else is due)."""
         if self.waiter is None:
             return
-        env = self.env
-        self.cpu_done_at = now = env._now
+        self.cpu_done_at = self.env._now
         wakeup = self.plan[self.pos][5]
         if wakeup > 0.0:
-            self.callbacks = _AFTER_WAKEUP
-            heappush(env._heap, (now + wakeup, NORMAL, next(env._seq), self))
-            return
-        self._next_stage()
+            self._sleep(wakeup)
+        else:
+            self._next_stage()
+
+    def _sleep(self, wakeup: float) -> None:
+        """Push the walker as the stage's wakeup."""
+        env = self.env
+        self.callbacks = _AFTER_WAKEUP
+        heappush(env._heap, (env._now + wakeup, NORMAL, next(env._seq), self))
 
     def _after_wakeup(self) -> None:
         if self.waiter is not None:
