@@ -39,8 +39,9 @@ MEASURED_META = frozenset({"wall_s", "config_fingerprint", "job_key"})
 
 #: The deterministic experiments the golden file covers.
 EXPERIMENTS = (
-    "fig02", "fig04", "fig05", "fig06", "fig07", "fig10", "fig11_12",
-    "fig13", "fig14", "fig15", "netstack", "reliability", "analytic_check",
+    "fig02", "fig04", "fig05", "fig06", "fig07", "fig08", "fig10",
+    "fig11_12", "fig13", "fig14", "fig15", "table01", "table02", "netstack",
+    "reliability", "chaos", "analytic_check",
     "ablation_hostlo_thread", "ablation_netfilter_cost",
     "ablation_rule_bloat", "ablation_no_batching",
     "fabric", "ablation_scheduler_policy", "online_cost",
