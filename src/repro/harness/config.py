@@ -2,7 +2,7 @@
 
 The paper ran 20-second netperf streams and 100 boot repetitions on
 real hardware; the simulator reproduces the same shapes at configurable
-scale.  ``quick`` keeps CI and pytest-benchmark runs fast; ``default``
+scale.  ``quick`` keeps CI and the test suite fast; ``default``
 is used to produce EXPERIMENTS.md; ``full`` approaches the paper's
 sample counts.
 """

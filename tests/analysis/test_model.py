@@ -6,6 +6,7 @@ from repro.analysis import predict_rr_latency, predict_stream_throughput
 from repro.core import build_scenario
 from repro.core.testbed import default_testbed
 from repro.workloads import NetperfTcpStream, NetperfUdpRR
+from tests.harness.test_golden import quick_result
 
 MODES = [
     "nocont",
@@ -67,3 +68,8 @@ def test_small_window_becomes_the_bound():
     )
     assert prediction.window_bound
 
+
+
+def test_analytic_check_throughput_agrees_on_every_row():
+    for row in quick_result("analytic_check").rows:
+        assert 0.6 <= row["thr_agreement"] <= 1.2

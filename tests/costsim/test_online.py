@@ -14,6 +14,7 @@ from repro.costsim.online import (
 from repro.errors import ConfigurationError
 from repro.traces import TraceConfig
 from repro.traces.google import TraceContainer, TracePod
+from tests.harness.test_golden import quick_result
 
 
 def small_events():
@@ -120,3 +121,11 @@ def test_twenty_user_outcome_is_pinned():
     events = generate_events(OnlineConfig(
         trace=TraceConfig(users=20, seed=2019)))
     assert dataclasses.astuple(simulate_online(events)) == ONLINE_20_USERS
+
+
+def test_online_cost_experiment_hostlo_below_kubernetes():
+    result = quick_result("online_cost")
+    k8s = result.value("cost_dollar_h", scheduler="kubernetes (whole pods)")
+    hostlo = result.value("cost_dollar_h",
+                          scheduler="hostlo (split + consolidate)")
+    assert hostlo < k8s

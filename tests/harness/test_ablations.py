@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_experiment
-
-CONFIG = ExperimentConfig.preset("quick")
+from tests.harness.test_golden import quick_result
 
 
 @pytest.fixture(scope="module")
 def hostlo_thread():
-    return run_experiment("ablation_hostlo_thread", CONFIG)
+    return quick_result("ablation_hostlo_thread")
 
 
 class TestHostloThreadAblation:
@@ -31,7 +29,7 @@ class TestHostloThreadAblation:
 
 class TestNetfilterAblation:
     def test_nat_sensitive_brfusion_immune(self):
-        result = run_experiment("ablation_netfilter_cost", CONFIG)
+        result = quick_result("ablation_netfilter_cost")
 
         def thr(mode, factor):
             return result.value("throughput_mbps", mode=mode,
@@ -45,7 +43,7 @@ class TestNetfilterAblation:
 
 class TestNoBatchingAblation:
     def test_overlay_hurt_most_hostlo_least(self):
-        result = run_experiment("ablation_no_batching", CONFIG)
+        result = quick_result("ablation_no_batching")
 
         def ratio(mode):
             unbatched = result.value("throughput_mbps", variant="unbatched",
@@ -56,11 +54,16 @@ class TestNoBatchingAblation:
 
         assert ratio("overlay") < ratio("nocont") < 1.0
         assert ratio("hostlo") > ratio("overlay")
+        hostlo_unbatched = result.value("throughput_mbps",
+                                        variant="unbatched", mode="hostlo")
+        hostlo_batched = result.value("throughput_mbps", variant="batched",
+                                      mode="hostlo")
+        assert hostlo_unbatched <= hostlo_batched
 
 
 class TestRuleBloatAblation:
     def test_nat_degrades_brfusion_flat(self):
-        result = run_experiment("ablation_rule_bloat", CONFIG)
+        result = quick_result("ablation_rule_bloat")
 
         def thr(mode, neighbors):
             return result.value("throughput_mbps", mode=mode,
@@ -72,3 +75,10 @@ class TestRuleBloatAblation:
         # Monotone decay for NAT.
         series = [thr("nat", n) for n in (0, 4, 9, 19)]
         assert series == sorted(series, reverse=True)
+
+
+class TestSchedulerPolicyAblation:
+    def test_hostlo_never_costs_more_than_kubernetes(self):
+        result = quick_result("ablation_scheduler_policy")
+        for row in result.rows:
+            assert row["hostlo_cost_per_h"] <= row["kubernetes_cost_per_h"]

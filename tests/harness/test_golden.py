@@ -20,6 +20,7 @@ and update ``GOLDEN_quick.json``; print the current hashes with::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -56,9 +57,19 @@ def canonical(result: ExperimentResult) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def quick_result(experiment: str) -> ExperimentResult:
+    """*experiment* at the quick preset, run once per test session.
+
+    Tier-1 tests that assert on a quick result read this memo rather
+    than run the experiment again; they must not mutate its rows.
+    """
+    return run_experiment(experiment, ExperimentConfig.preset("quick"))
+
+
 def golden_hash(experiment: str) -> str:
-    result = run_experiment(experiment, ExperimentConfig.preset("quick"))
-    return hashlib.sha256(canonical(result).encode()).hexdigest()
+    return hashlib.sha256(
+        canonical(quick_result(experiment)).encode()).hexdigest()
 
 
 def _python() -> str:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness import EXPERIMENTS, ExperimentConfig, run_experiment
 from repro.harness.results import ExperimentResult
+from tests.harness.test_golden import quick_result
 
 
 class TestConfig:
@@ -161,13 +162,24 @@ class TestRegistry:
         t1 = run_experiment("table01")
         t2 = run_experiment("table02")
         assert len(t1.rows) == 3
+        assert {r["application"] for r in t1.rows} == {
+            "Memcached", "NGINX", "Kafka",
+        }
         assert len(t2.rows) == 6
         assert t2.value("price_per_h", model="24xlarge") == 5.376
+        assert t2.value("price_per_h", model="large") == 0.112
+        assert t2.value("vCPU", model="24xlarge") == 96
 
     def test_fig02_quick(self):
-        result = run_experiment("fig02", ExperimentConfig.preset("quick"))
+        result = quick_result("fig02")
         assert {r["mode"] for r in result.rows} == {"nat", "nocont"}
         assert any("degradation" in n for n in result.notes)
+        # Paper: ~68 % throughput degradation, ~31 % latency increase.
+        nat = result.value("throughput_mbps", mode="nat")
+        nocont = result.value("throughput_mbps", mode="nocont")
+        assert nat < 0.6 * nocont
+        assert result.value("latency_us", mode="nat") > result.value(
+            "latency_us", mode="nocont")
 
 
 class TestExport:
