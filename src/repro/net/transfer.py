@@ -197,6 +197,16 @@ class _StageWalker:
         if self.waiter is not None:
             self._next_stage()
 
+    def abandon(self) -> None:
+        """The sender stopped waiting: start no further stage, and end
+        the current stage's span and the transfer's span."""
+        self.waiter = None
+        tracer = self.tracer
+        if tracer is not None:
+            for span in (self.span, self.parent):
+                if span is not None and span.end is None:
+                    tracer.end(span)
+
     def _record(self) -> None:
         """Close the current stage's timeline entry and span."""
         if self.timings is not None:
@@ -336,14 +346,16 @@ class TransferEngine:
             memo = self._plans[key] = (
                 path, model, stage_plan(path, nbytes, stream, model))
         walker = _StageWalker(self, path, nbytes, stream, memo[2], timings)
-        if walker.run():
-            walker.waiter = waiter = Event(self.env)
-            try:
+        try:
+            if walker.run():
+                walker.waiter = waiter = Event(self.env)
                 yield waiter
-            finally:
-                # Thrown into or closed while waiting (an interrupt):
-                # the stages not yet started are abandoned.
-                walker.waiter = None
+        except BaseException:
+            # A stage's error, or thrown into or closed while waiting
+            # (an interrupt): the stages not yet started are abandoned,
+            # and a traced walker's open spans end now.
+            walker.abandon()
+            raise
 
     def reliable_transfer(
         self, path: Datapath, nbytes: int, messages: int = 1, **kwargs: t.Any

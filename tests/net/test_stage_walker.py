@@ -56,26 +56,36 @@ def reference_transfer(engine: TransferEngine, path: Datapath, nbytes: int,
             "cpu.queue_depth",
             help="jobs waiting per CPU domain, sampled at stage entry",
         )
-    for stage, domain, label, account, cycles, wakeup in plan:
-        span = None
-        if traced:
-            span = tracer.begin(
-                "datapath.stage", stage, parent=parent,
-                domain=domain, account=account, cycles=cycles,
-                label=label,
-            )
-            queue_depth.set(engine.cpu(domain).queue_depth, domain=domain)
-        started = env._now
-        if cycles > 0.0:
-            yield engine.cpu(domain).execute(cycles, account)
-        cpu_done = env._now
-        if wakeup > 0.0:
-            yield Timeout(env, wakeup)
-        if timings is not None:
-            timings.append(StageTiming(
-                stage, domain, label, started, cpu_done, env._now, cycles))
-        if span is not None:
-            tracer.end(span)
+    span = None
+    try:
+        for stage, domain, label, account, cycles, wakeup in plan:
+            span = None
+            if traced:
+                span = tracer.begin(
+                    "datapath.stage", stage, parent=parent,
+                    domain=domain, account=account, cycles=cycles,
+                    label=label,
+                )
+                queue_depth.set(engine.cpu(domain).queue_depth,
+                                domain=domain)
+            started = env._now
+            if cycles > 0.0:
+                yield engine.cpu(domain).execute(cycles, account)
+            cpu_done = env._now
+            if wakeup > 0.0:
+                yield Timeout(env, wakeup)
+            if timings is not None:
+                timings.append(StageTiming(
+                    stage, domain, label, started, cpu_done, env._now,
+                    cycles))
+            if span is not None:
+                tracer.end(span)
+    except BaseException:
+        # Interrupted, closed or a stage's error: the open spans end now.
+        for open_span in (span, parent):
+            if open_span is not None and open_span.end is None:
+                tracer.end(open_span)
+        raise
     if parent is not None:
         tracer.end(parent)
 
@@ -308,6 +318,28 @@ class TestInterrupts:
         for at in (0.0, 0.5, 1.0, 2.0, 3.0, 4.5, 5.0):
             assert interrupted(Walker, at) == interrupted(Reference, at)
 
+    @pytest.mark.parametrize("impl", [Walker, Reference])
+    def test_every_span_ends_at_the_interrupt(self, impl):
+        for at in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 5.0, 5.5):
+            with obs.capture() as (tracer, _):
+                interrupted(impl, at)
+            assert all(span.end is not None for span in tracer.spans)
+            # The transfer's span and its stage in progress end then.
+            ends = [span.end for span in tracer.spans
+                    if span.category.startswith("datapath.")]
+            assert len(ends) >= 2 and max(ends) == at
+
+    def test_a_closed_traced_transfer_ends_its_spans(self):
+        with obs.capture() as (tracer, _):
+            env, engine, (path,) = build(THREE_STAGES)
+            gen = engine.transfer(path, 0)
+            next(gen)
+            gen.close()
+            env.run()
+        assert [(s.category, s.end) for s in tracer.spans
+                if s.category.startswith("datapath.")] == [
+            ("datapath.transfer", 0.0), ("datapath.stage", 0.0)]
+
     def test_closed_transfer_stops_after_its_current_job(self):
         env, engine, (path,) = build(THREE_STAGES)
         gen = engine.transfer(path, 0)
@@ -321,22 +353,35 @@ class TestInterrupts:
 
     @pytest.mark.parametrize("impl", [Walker, Reference])
     def test_a_later_stage_error_is_thrown_into_the_sender(self, impl):
-        env, engine, (path,) = build(
-            [[("host", 1000.0, 1.0, "usr", 1.0)]])
-        broken = Datapath(path.stages + (PathStage("p0s0", "nowhere"),),
-                          segment_payload=1500, jitter_class="clean",
-                          src="a", dst="b")
-        caught: list[tuple] = []
+        assert stage_error(impl) == [(2.0, "ConfigurationError")]
 
-        def sender() -> t.Generator:
-            try:
-                yield from impl.transfer(engine, broken, 0, False)
-            except Exception as exc:  # noqa: BLE001 - the test's subject
-                caught.append((env.now, type(exc).__name__))
+    @pytest.mark.parametrize("impl", [Walker, Reference])
+    def test_a_stage_error_ends_every_span(self, impl):
+        with obs.capture() as (tracer, _):
+            stage_error(impl)
+        assert [(s.category, s.end) for s in tracer.spans
+                if s.category.startswith("datapath.")] == [
+            ("datapath.transfer", 2.0), ("datapath.stage", 2.0),
+            ("datapath.stage", 2.0)]
 
-        env.process(sender())
-        env.run()
-        assert caught == [(2.0, "ConfigurationError")]
+
+def stage_error(impl: type) -> list[tuple]:
+    """A one-stage path followed by a stage on an unknown domain."""
+    env, engine, (path,) = build([[("host", 1000.0, 1.0, "usr", 1.0)]])
+    broken = Datapath(path.stages + (PathStage("p0s0", "nowhere"),),
+                      segment_payload=1500, jitter_class="clean",
+                      src="a", dst="b")
+    caught: list[tuple] = []
+
+    def sender() -> t.Generator:
+        try:
+            yield from impl.transfer(engine, broken, 0, False)
+        except Exception as exc:  # noqa: BLE001 - the test's subject
+            caught.append((env.now, type(exc).__name__))
+
+    env.process(sender())
+    env.run()
+    return caught
 
 
 # -- mixed queues: plain jobs and walkers in one FIFO -------------------------
