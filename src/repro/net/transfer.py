@@ -201,11 +201,9 @@ class _StageWalker:
         """The sender stopped waiting: start no further stage, and end
         the current stage's span and the transfer's span."""
         self.waiter = None
-        tracer = self.tracer
-        if tracer is not None:
-            for span in (self.span, self.parent):
-                if span is not None and span.end is None:
-                    tracer.end(span)
+        if self.tracer is not None:
+            self.tracer.end(self.span)
+            self.tracer.end(self.parent)
 
     def _record(self) -> None:
         """Close the current stage's timeline entry and span."""

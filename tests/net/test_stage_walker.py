@@ -59,7 +59,6 @@ def reference_transfer(engine: TransferEngine, path: Datapath, nbytes: int,
     span = None
     try:
         for stage, domain, label, account, cycles, wakeup in plan:
-            span = None
             if traced:
                 span = tracer.begin(
                     "datapath.stage", stage, parent=parent,
@@ -82,9 +81,8 @@ def reference_transfer(engine: TransferEngine, path: Datapath, nbytes: int,
                 tracer.end(span)
     except BaseException:
         # Interrupted, closed or a stage's error: the open spans end now.
-        for open_span in (span, parent):
-            if open_span is not None and open_span.end is None:
-                tracer.end(open_span)
+        tracer.end(span)
+        tracer.end(parent)
         raise
     if parent is not None:
         tracer.end(parent)
