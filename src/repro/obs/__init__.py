@@ -19,6 +19,10 @@ tracing is one call::
     export.write_chrome_trace(records, "out/run.trace.json")
     export.write_spans_jsonl(records, "out/run.spans.jsonl")
 
+Every span, sim-clock or (:mod:`repro.obs.distributed`) wall-clock, is
+serialised as the one plain record :func:`repro.obs.export.make_record`
+builds.
+
 Install the tracer *before* building environments:
 :class:`repro.sim.Environment` snapshots the active tracer at
 construction (so its hot event loop does one attribute load, not a
@@ -32,7 +36,6 @@ import typing as t
 
 from repro.obs.distributed import (
     TRACE_HEADER,
-    SpanRecord,
     TraceContext,
     TraceStore,
     connected,
@@ -107,7 +110,6 @@ __all__ = [
     "NULL",
     "NullTracer",
     "Span",
-    "SpanRecord",
     "TRACE_HEADER",
     "TraceContext",
     "TraceStore",

@@ -14,11 +14,14 @@ all of them.  This module is the glue that makes those hops one story:
   recovery re-admits the job under its *original* trace id, and
   carried across the spawn boundary as a plain dict argument to the
   worker function.
-* :class:`SpanRecord` — one wall-clock (``kind="service"``) or
-  sim-clock (``kind="sim"``) span.  Service spans carry ``time.time``
-  seconds; sim spans keep their simulated timestamps and hang off the
-  worker span that produced them, which is what "the engine's
-  timeline as a correlated child" means concretely.
+* Spans are the plain records :func:`repro.obs.export.make_record`
+  builds, the ``.spans.jsonl`` format plus a ``trace_id`` and the
+  ``worker`` (Perfetto process row) they ran on.  Wall-clock service
+  spans have ``cat="service"`` and ``time.time`` seconds in
+  ``ts``/``dur``; sim spans keep their own category and simulated
+  timestamps and hang off the worker span that produced them, which
+  is what "the engine's timeline as a correlated child" means
+  concretely.
 * :class:`TraceStore` — a bounded in-memory store, newest traces win.
   The service keeps the last few hundred traces; the HTTP layer
   serves them on ``GET /jobs/<id>/trace``.
@@ -134,44 +137,8 @@ class TraceContext:
         )
 
 
-@dataclasses.dataclass
-class SpanRecord:
-    """One span in a distributed trace (wall-clock or sim-clock).
-
-    ``worker`` names the process row the span renders under in the
-    Perfetto export: ``"http"``, ``"service"``, ``"shard-0"``, or the
-    worker process (``"pid-1234"``) for sim spans.
-    """
-
-    trace_id: str
-    span_id: str
-    name: str
-    start_s: float
-    end_s: float
-    parent_id: str | None = None
-    kind: str = "service"
-    worker: str = "service"
-    tags: dict[str, t.Any] = dataclasses.field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        return max(0.0, self.end_s - self.start_s)
-
-    def to_doc(self) -> dict[str, t.Any]:
-        doc: dict[str, t.Any] = {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "kind": self.kind,
-            "worker": self.worker,
-        }
-        if self.parent_id is not None:
-            doc["parent_id"] = self.parent_id
-        if self.tags:
-            doc["tags"] = self.tags
-        return doc
+#: One span of a distributed trace: a plain record (see above).
+Record = dict[str, t.Any]
 
 
 class TraceStore:
@@ -187,28 +154,28 @@ class TraceStore:
                  max_spans: int = MAX_SPANS_PER_TRACE) -> None:
         self.keep = max(1, int(keep))
         self.max_spans = max(16, int(max_spans))
-        self._traces: dict[str, list[SpanRecord]] = {}
+        self._traces: dict[str, list[Record]] = {}
         self._dropped: dict[str, int] = {}
 
-    def add(self, span: SpanRecord) -> None:
-        spans = self._traces.get(span.trace_id)
+    def add(self, span: Record) -> None:
+        trace_id = span["trace_id"]
+        spans = self._traces.get(trace_id)
         if spans is None:
-            spans = self._traces[span.trace_id] = []
+            spans = self._traces[trace_id] = []
             self._evict()
         else:
             # Move-to-back: extending a trace refreshes its age.
-            self._traces[span.trace_id] = self._traces.pop(span.trace_id)
+            self._traces[trace_id] = self._traces.pop(trace_id)
         if len(spans) >= self.max_spans:
-            self._dropped[span.trace_id] = (
-                self._dropped.get(span.trace_id, 0) + 1)
+            self._dropped[trace_id] = self._dropped.get(trace_id, 0) + 1
             return
         spans.append(span)
 
-    def extend(self, spans: t.Iterable[SpanRecord]) -> None:
+    def extend(self, spans: t.Iterable[Record]) -> None:
         for span in spans:
             self.add(span)
 
-    def spans(self, trace_id: str) -> list[SpanRecord]:
+    def spans(self, trace_id: str) -> list[Record]:
         return list(self._traces.get(trace_id, ()))
 
     def dropped(self, trace_id: str) -> int:
@@ -227,29 +194,31 @@ class TraceStore:
             self._dropped.pop(oldest, None)
 
 
-def connected(spans: t.Sequence[SpanRecord]) -> bool:
+def connected(spans: t.Sequence[Record]) -> bool:
     """True when *spans* form one tree: exactly one root (a span with
     no parent) and every parent id resolving to a recorded span."""
     if not spans:
         return False
-    ids = {span.span_id for span in spans}
-    roots = [span for span in spans if span.parent_id is None]
-    if len(roots) != 1:
-        return False
-    return all(span.parent_id in ids
-               for span in spans if span.parent_id is not None)
+    ids = {span["sid"] for span in spans}
+    parents = [span.get("parent") for span in spans]
+    return parents.count(None) == 1 and all(
+        parent in ids for parent in parents if parent is not None)
 
 
-def _root_span(spans: t.Sequence[SpanRecord]) -> SpanRecord | None:
+def _duration(span: Record) -> float:
+    return max(0.0, span["dur"])
+
+
+def _root_span(spans: t.Sequence[Record]) -> Record | None:
     """The ``job`` span if present, else the (unique) parentless one."""
-    jobs = [s for s in spans if s.name == "job" and s.kind == "service"]
+    jobs = [s for s in spans if s["name"] == "job" and s["cat"] == "service"]
     if jobs:
         return jobs[0]
-    roots = [s for s in spans if s.parent_id is None]
+    roots = [s for s in spans if s.get("parent") is None]
     return roots[0] if len(roots) == 1 else None
 
 
-def critical_path(spans: t.Sequence[SpanRecord]) -> dict[str, t.Any]:
+def critical_path(spans: t.Sequence[Record]) -> dict[str, t.Any]:
     """Carve the job's end-to-end wall time into attributed phases.
 
     Components are summed from the service phase spans (see
@@ -265,20 +234,21 @@ def critical_path(spans: t.Sequence[SpanRecord]) -> dict[str, t.Any]:
     if root is None:
         return {"e2e_s": 0.0, "components": {}, "coverage": 0.0,
                 "span_count": len(spans), "sim": {"spans": 0}}
-    e2e = root.duration_s
+    e2e = _duration(root)
     components: dict[str, float] = {}
+    sim_spans = []
     for span in spans:
-        if span.kind != "service" or span.name not in PHASES:
-            continue
-        key = span.name.replace(".", "_")
-        components[key] = components.get(key, 0.0) + span.duration_s
+        if span["cat"] != "service":
+            sim_spans.append(span)
+        elif span["name"] in PHASES:
+            key = span["name"].replace(".", "_")
+            components[key] = components.get(key, 0.0) + _duration(span)
     attributed = sum(components.values())
     components["other"] = max(0.0, e2e - attributed)
-    sim_spans = [s for s in spans if s.kind == "sim"]
     sim: dict[str, t.Any] = {"spans": len(sim_spans)}
     if sim_spans:
-        sim["sim_s"] = round(sum(s.duration_s for s in sim_spans), 9)
-        cycles = sum(float(s.tags.get("cycles", 0) or 0)
+        sim["sim_s"] = round(sum(_duration(s) for s in sim_spans), 9)
+        cycles = sum(float((s.get("attrs") or {}).get("cycles", 0) or 0)
                      for s in sim_spans)
         if cycles:
             sim["cycles"] = cycles
@@ -294,39 +264,31 @@ def critical_path(spans: t.Sequence[SpanRecord]) -> dict[str, t.Any]:
 def sim_records_to_spans(
     records: t.Iterable[t.Mapping[str, t.Any]],
     *, trace_id: str, parent_span_id: str, worker: str,
-) -> list[SpanRecord]:
-    """Bridge sim-tracer records into distributed child spans.
+) -> list[Record]:
+    """Hang sim-tracer records under a worker span of a distributed trace.
 
     *records* are the plain dicts :func:`repro.obs.export.iter_records`
     produces inside the worker (shipped back over the spawn queue as
-    data, never live objects).  Sim span ids are namespaced under the
-    worker span id so two attempts of the same job cannot collide;
-    parent links inside the sim tree are preserved, and sim roots hang
-    off the worker span.  The worker already capped the records it
-    shipped (``repro.service.jobs.TRACE_RECORD_LIMIT``).
+    data, never live objects), already in the span format.  Sim span
+    ids are namespaced under the worker span id so two attempts of the
+    same job cannot collide; parent links inside the sim tree are
+    preserved, and sim roots hang off the worker span.  The worker
+    already capped the records it shipped
+    (``repro.service.jobs.TRACE_RECORD_LIMIT``).
     """
-    spans: list[SpanRecord] = []
+    spans: list[Record] = []
     for record in records:
         sid = record.get("sid")
         if sid is None:
             continue
         run = record.get("run", 0)
         parent = record.get("parent")
-        start = float(record.get("ts", 0.0))
-        tags: dict[str, t.Any] = {"cat": record.get("cat", "")}
-        attrs = record.get("attrs") or {}
-        if "cycles" in attrs:
-            tags["cycles"] = attrs["cycles"]
-        spans.append(SpanRecord(
+        spans.append(dict(
+            record,
+            sid=f"{parent_span_id}.r{run}s{sid}",
+            parent=(f"{parent_span_id}.r{run}s{parent}"
+                    if parent is not None else parent_span_id),
             trace_id=trace_id,
-            span_id=f"{parent_span_id}.r{run}s{sid}",
-            parent_id=(f"{parent_span_id}.r{run}s{parent}"
-                       if parent is not None else parent_span_id),
-            name=str(record.get("name", "?")),
-            start_s=start,
-            end_s=start + float(record.get("dur", 0.0) or 0.0),
-            kind="sim",
             worker=worker,
-            tags=tags,
         ))
     return spans

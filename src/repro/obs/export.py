@@ -1,9 +1,10 @@
 """Trace exporters: JSON-Lines, Chrome ``trace_event``, text summary.
 
 Every file exporter reads *plain span records*: the dicts
-:func:`span_record` / :func:`iter_records` make from a tracer, which is
-also what a campaign worker ships back over a queue and what a
-``.spans.jsonl`` file holds.  A caller with a live tracer converts once
+:func:`make_record` builds.  :func:`span_record` / :func:`iter_records`
+make them from a tracer; they are also what a campaign worker ships
+back over a queue, what a ``.spans.jsonl`` file holds, and the spans of
+the service's distributed trace.  A caller with a live tracer converts once
 (``records = list(iter_records(tracer))``) and hands the same list to
 each writer.
 
@@ -42,24 +43,37 @@ from repro.obs.trace import Span, TracerLike
 _US = 1e6
 
 
+def make_record(sid: t.Any, cat: str, name: str, ts: float, dur: float,
+                *, run: int = 0, parent: t.Any = None, kind: str = "span",
+                wall_s: float | None = None,
+                attrs: t.Mapping[str, t.Any] | None = None,
+                trace_id: str | None = None,
+                worker: str = "service") -> dict[str, t.Any]:
+    """The one span record: a ``.spans.jsonl`` line, and (with a
+    *trace_id* and the *worker* it ran on) a distributed-trace span.
+
+    *kind* is ``"span"`` or ``"event"`` (an instant).
+    """
+    record: dict[str, t.Any] = {"kind": kind, "sid": sid, "cat": cat,
+                                "name": name, "ts": ts, "dur": dur,
+                                "run": run}
+    if parent is not None:
+        record["parent"] = parent
+    if wall_s is not None and wall_s >= 0:
+        record["wall_s"] = wall_s
+    if attrs:
+        record["attrs"] = attrs
+    if trace_id is not None:
+        record["trace_id"] = trace_id
+        record["worker"] = worker
+    return record
+
+
 def span_record(span: Span, kind: str = "span") -> dict[str, t.Any]:
     """One span/event as a JSON-ready dict."""
-    record: dict[str, t.Any] = {
-        "kind": kind,
-        "sid": span.sid,
-        "cat": span.category,
-        "name": span.name,
-        "ts": span.start,
-        "dur": span.duration,
-        "run": span.run,
-    }
-    if span.parent is not None:
-        record["parent"] = span.parent
-    if span.wall_s is not None and span.wall_s >= 0:
-        record["wall_s"] = span.wall_s
-    if span.attrs:
-        record["attrs"] = span.attrs
-    return record
+    return make_record(span.sid, span.category, span.name, span.start,
+                       span.duration, run=span.run, parent=span.parent,
+                       kind=kind, wall_s=span.wall_s, attrs=span.attrs)
 
 
 def iter_records(tracer: TracerLike) -> t.Iterator[dict[str, t.Any]]:
@@ -187,9 +201,9 @@ def distributed_chrome_trace(
     """A service distributed trace as a Chrome ``trace_event`` object.
 
     *trace_doc* is what ``TraceService.trace(job_id)`` (and therefore
-    ``GET /jobs/<id>/trace``) returns: plain span docs with wall-clock
-    ``start_s``/``end_s`` for ``kind="service"`` spans and sim-time
-    seconds for ``kind="sim"`` spans.
+    ``GET /jobs/<id>/trace``) returns: span records (:func:`make_record`)
+    whose ``ts``/``dur`` are wall-clock seconds for ``cat="service"``
+    spans and sim-time seconds for every other category.
 
     Layout: one "process" per distinct ``worker`` (``http``/``service``
     wall phases, ``shard-N`` queue/gate spans, ``pid-NNNN`` sim spans),
@@ -200,35 +214,33 @@ def distributed_chrome_trace(
     produced it, sharing one clock axis.
     """
     spans = trace_doc.get("spans", [])
-    wall_starts = [s["start_s"] for s in spans if s.get("kind") != "sim"]
+    wall_starts = [s["ts"] for s in spans if s["cat"] == "service"]
     t0 = min(wall_starts) if wall_starts else 0.0
-    by_id = {s["span_id"]: s for s in spans}
+    by_id = {s["sid"]: s for s in spans}
     pids: dict[str, int] = {}
 
     def rows() -> t.Iterator[_Row]:
         for span in spans:
-            sim = span.get("kind") == "sim"
+            wall = span["cat"] == "service"
             worker = str(span.get("worker", "service"))
-            start = float(span["start_s"])
-            if sim:
+            ts = float(span["ts"])
+            if wall:
+                ts -= t0
+            else:
                 # Sim span ids are namespaced "<workerspan>.r<run>s<sid>";
                 # the prefix names the wall-clock worker span they nest
                 # under.
-                anchor = by_id.get(str(span["span_id"]).split(".", 1)[0])
-                ts = (float(anchor["start_s"]) if anchor else t0) - t0 + start
-            else:
-                ts = start - t0
-            duration = max(0.0, float(span["end_s"]) - start)
-            args = {k: _arg(v) for k, v in (span.get("tags") or {}).items()}
-            args["span_id"] = span["span_id"]
-            if span.get("parent_id") is not None:
-                args["parent_id"] = span["parent_id"]
+                anchor = by_id.get(str(span["sid"]).split(".", 1)[0])
+                ts += (float(anchor["ts"]) if anchor else t0) - t0
+            duration = max(0.0, float(span["dur"]))
+            args = {k: _arg(v) for k, v in (span.get("attrs") or {}).items()}
+            args["sid"] = span["sid"]
+            if span.get("parent") is not None:
+                args["parent"] = span["parent"]
             yield (
                 pids.setdefault(worker, len(pids) + 1), worker,
-                "sim-time" if sim else "wall",
-                span["name"], "sim" if sim else "service", ts,
-                None if duration <= 0.0 and not sim else duration,
-                args,
+                "wall" if wall else "sim-time", span["name"], span["cat"],
+                ts, None if duration <= 0.0 and wall else duration, args,
             )
 
     return _trace_events(rows(), instant_scope="p", sort_processes=True)

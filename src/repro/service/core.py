@@ -86,7 +86,8 @@ from repro.errors import (
 from repro.faults.recovery import RetryPolicy
 from repro.harness.results import ExperimentResult
 from repro.obs import distributed as dist
-from repro.obs.distributed import SpanRecord, TraceContext, TraceStore
+from repro.obs.distributed import TraceContext, TraceStore
+from repro.obs.export import make_record
 from repro.obs.metrics import MetricsRegistry
 from repro.service import jobs as jobs_mod
 from repro.service.slo import SloConfig, SloTracker
@@ -608,7 +609,7 @@ class TraceService:
 
     def _span(self, job: Job, name: str, start_s: float, end_s: float,
               *, parent: str | None = "job", worker: str = "service",
-              span_id: str | None = None, **tags: t.Any) -> None:
+              span_id: str | None = None, **attrs: t.Any) -> None:
         """Record one service phase span under *job*'s trace.
 
         *span_id* is normally minted here; the worker span passes its
@@ -618,27 +619,11 @@ class TraceService:
             return
         parent_id = (job.trace_marks.get("job_span")
                      if parent == "job" else parent)
-        self.traces.add(SpanRecord(
-            trace_id=job.trace_id,
-            span_id=span_id or dist.new_span_id(),
-            name=name,
-            start_s=start_s,
-            end_s=end_s,
-            parent_id=parent_id,
-            worker=worker,
-            tags={k: v for k, v in tags.items() if v is not None},
-        ))
-
-    def record_span(self, *, trace_id: str, span_id: str, name: str,
-                    start_s: float, end_s: float,
-                    parent_id: str | None = None, worker: str = "service",
-                    tags: dict[str, t.Any] | None = None) -> None:
-        """Public span intake for co-located layers (the HTTP front
-        end records its ``http.parse`` span through this)."""
-        self.traces.add(SpanRecord(
-            trace_id=trace_id, span_id=span_id, name=name,
-            start_s=start_s, end_s=end_s, parent_id=parent_id,
-            worker=worker, tags=dict(tags or {}),
+        self.traces.add(make_record(
+            span_id or dist.new_span_id(), "service", name, start_s,
+            end_s - start_s, parent=parent_id,
+            attrs={k: v for k, v in attrs.items() if v is not None},
+            trace_id=job.trace_id, worker=worker,
         ))
 
     def trace(self, job_id: str) -> dict[str, t.Any]:
@@ -654,7 +639,7 @@ class TraceService:
             "connected": dist.connected(spans),
             "critical_path": dist.critical_path(spans),
             "dropped_spans": self.traces.dropped(job.trace_id),
-            "spans": [span.to_doc() for span in spans],
+            "spans": spans,
         }
 
     def _metric_labels(self, job: Job) -> dict[str, str]:
@@ -809,17 +794,13 @@ class TraceService:
             # covers the whole job.
             t_end = time.time()
             self._span(job, "publish", t_publish, t_end, state=state)
-            self.traces.add(SpanRecord(
+            self.traces.add(make_record(
+                marks["job_span"], "service", "job", marks["t0"],
+                t_end - marks["t0"], parent=marks.get("parent"),
+                attrs={"job_id": job.id, "kind": job.kind, "state": state,
+                       "client": job.client, "cache_hit": job.cache_hit,
+                       "attempts": job.attempts},
                 trace_id=job.trace_id,
-                span_id=marks["job_span"],
-                name="job",
-                start_s=marks["t0"],
-                end_s=t_end,
-                parent_id=marks.get("parent"),
-                worker="service",
-                tags={"job_id": job.id, "kind": job.kind, "state": state,
-                      "client": job.client, "cache_hit": job.cache_hit,
-                      "attempts": job.attempts},
             ))
             e2e_s = t_end - marks["t0"]
             self._e2e.observe(e2e_s, **self._metric_labels(job))

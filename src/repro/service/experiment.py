@@ -466,7 +466,7 @@ def _telemetry_lane(config: ExperimentConfig) -> dict[str, t.Any]:
         trace = client.trace(doc["id"])
         chrome = client.trace(doc["id"], fmt="chrome")
     spans = trace["spans"]
-    sim_spans = sum(1 for span in spans if span.get("kind") == "sim")
+    sim_spans = sum(1 for span in spans if span["cat"] != "service")
     path = trace["critical_path"]
     components_sum = sum(path["components"].values())
     e2e = path["e2e_s"]

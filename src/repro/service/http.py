@@ -54,6 +54,7 @@ from repro.errors import (
 )
 from repro.obs import distributed as dist
 from repro.obs.distributed import TRACE_HEADER, TraceContext
+from repro.obs.export import distributed_chrome_trace, make_record
 from repro.service.health import check_service
 from repro.service.jobs import TERMINAL, JobEvent
 
@@ -288,12 +289,13 @@ class HttpServer:
             # Fresh admission (not a dedupe twin riding an older
             # trace): the HTTP parse becomes the trace's true root and
             # the job span's parent.
-            self.service.record_span(
-                trace_id=trace_id, span_id=parse_span, name="http.parse",
-                start_s=t_start, end_s=t_parsed,
-                tags={"kind": str(doc["kind"]),
-                      "client": str(doc.get("client", "anonymous"))},
-            )
+            self.service.traces.add(make_record(
+                parse_span, "service", "http.parse", t_start,
+                t_parsed - t_start,
+                attrs={"kind": str(doc["kind"]),
+                       "client": str(doc.get("client", "anonymous"))},
+                trace_id=trace_id,
+            ))
         await self._respond(
             writer, 200, job.summary(), trace_id=job.trace_id or trace_id
         )
@@ -303,8 +305,6 @@ class HttpServer:
         job = self._job(job_id)
         doc = self.service.trace(job.id)
         if "format=chrome" in query:
-            from repro.obs.export import distributed_chrome_trace
-
             doc = distributed_chrome_trace(doc)
         await self._respond(
             writer, 200, doc, trace_id=job.trace_id or trace_id

@@ -5,7 +5,6 @@ import pytest
 from repro.obs.distributed import (
     MAX_SPANS_PER_TRACE,
     PHASES,
-    SpanRecord,
     TraceContext,
     TraceStore,
     connected,
@@ -15,14 +14,13 @@ from repro.obs.distributed import (
     sanitize_trace_id,
     sim_records_to_spans,
 )
+from repro.obs.export import distributed_chrome_trace, make_record
 
 
 def span(trace="tr1", sid="s1", name="x", start=0.0, end=1.0,
-         parent=None, kind="service", **tags) -> SpanRecord:
-    return SpanRecord(
-        trace_id=trace, span_id=sid, name=name,
-        start_s=start, end_s=end, parent_id=parent, kind=kind, tags=tags,
-    )
+         parent=None, cat="service", **attrs) -> dict:
+    return make_record(sid, cat, name, start, end - start, parent=parent,
+                       attrs=attrs, trace_id=trace)
 
 
 class TestIds:
@@ -68,9 +66,14 @@ class TestTraceContext:
         assert "parent_span_id" not in bare.to_dict()
 
 
-class TestSpanRecord:
+class TestRecord:
     def test_duration_never_negative(self):
-        assert span(start=2.0, end=1.0).duration_s == 0.0
+        backwards = [span(sid="job", name="job", start=2.0, end=1.0),
+                     span(sid="q", name="queue.wait", parent="job",
+                          start=2.0, end=1.5)]
+        path = critical_path(backwards)
+        assert path["e2e_s"] == 0.0
+        assert path["components"]["queue_wait"] == 0.0
 
 
 class TestTraceStore:
@@ -159,7 +162,7 @@ class TestCriticalPath:
         spans = [
             span(sid="job", name="job", start=0.0, end=1.0),
             span(sid="w", name="worker", parent="job", start=0.0, end=1.0),
-            span(sid="w.r0s1", name="engine", parent="w", kind="sim",
+            span(sid="w.r0s1", name="engine", parent="w", cat="datapath",
                  start=0.0, end=0.5, cycles=100),
         ]
         path = critical_path(spans)
@@ -184,11 +187,17 @@ class TestSimBridge:
         spans = sim_records_to_spans(
             records, trace_id="tr1", parent_span_id="wspan", worker="pid-9"
         )
-        assert [s.span_id for s in spans] == ["wspan.r0s1", "wspan.r0s2"]
-        assert spans[0].parent_id == "wspan"  # sim root -> worker span
-        assert spans[1].parent_id == "wspan.r0s1"
-        assert spans[1].tags["cycles"] == 42
-        assert all(s.kind == "sim" and s.worker == "pid-9" for s in spans)
+        assert [s["sid"] for s in spans] == ["wspan.r0s1", "wspan.r0s2"]
+        assert spans[0]["parent"] == "wspan"  # sim root -> worker span
+        assert spans[1]["parent"] == "wspan.r0s1"
+        assert spans[1]["attrs"] == {"cycles": 42, "domain": "cpu0"}
+        assert all(s["cat"] == "engine" and s["trace_id"] == "tr1"
+                   and s["worker"] == "pid-9" for s in spans)
+        # Only the ids move; the record keeps every other field.
+        assert {k: v for k, v in spans[1].items()
+                if k not in ("sid", "parent", "trace_id", "worker")} == {
+            k: v for k, v in records[1].items()
+            if k not in ("sid", "parent")}
 
     def test_two_attempts_cannot_collide(self):
         record = [{"sid": 1, "run": 0, "name": "r", "ts": 0.0, "dur": 0.0}]
@@ -196,4 +205,89 @@ class TestSimBridge:
             record, trace_id="tr1", parent_span_id="attempt1", worker="w")
         second = sim_records_to_spans(
             record, trace_id="tr1", parent_span_id="attempt2", worker="w")
-        assert first[0].span_id != second[0].span_id
+        assert first[0]["sid"] != second[0]["sid"]
+
+
+#: A fixed traced job: service phases (sid, name, parent, offset from
+#: t0, duration, worker) and the sim records its worker shipped.  Every
+#: time is a short binary fraction, so sums are exact.
+T0 = 1024.0
+PHASE_SPANS = [
+    ("parse", "http.parse", None, 0.0, 0.0078125, "http"),
+    ("job", "job", "parse", 0.0, 1.0, "service"),
+    ("probe", "cache.probe", "job", 0.0, 0.0078125, "service"),
+    ("admit", "admission", "job", 0.0078125, 0.015625, "service"),
+    ("queue", "queue.wait", "job", 0.0234375, 0.125, "shard-0"),
+    ("gate", "breaker.gate", "job", 0.1484375, 0.0078125, "shard-0"),
+    ("w1", "worker", "job", 0.15625, 0.5, "shard-0"),
+    ("pub", "publish", "job", 0.65625, 0.03125, "service"),
+    ("note", "sse.notify", "job", 1.0, 0.0, "service"),
+]
+SIM_RECORDS = [
+    {"kind": "span", "sid": 1, "cat": "datapath", "name": "transfer",
+     "ts": 0.0, "dur": 0.25, "run": 0, "attrs": {"cycles": 1000}},
+    {"kind": "span", "sid": 2, "cat": "datapath", "name": "stage",
+     "ts": 0.125, "dur": 0.0625, "run": 0, "parent": 1,
+     "attrs": {"cycles": 500, "domain": "cpu0"}},
+    {"kind": "event", "sid": 3, "cat": "net", "name": "hop",
+     "ts": 0.125, "dur": 0.0, "run": 0, "parent": 1},
+]
+
+
+def fixed_trace() -> list[dict]:
+    spans = [make_record(sid, "service", name, T0 + offset, dur,
+                         parent=parent, trace_id="tr1", worker=worker)
+             for sid, name, parent, offset, dur, worker in PHASE_SPANS]
+    spans += sim_records_to_spans(SIM_RECORDS, trace_id="tr1",
+                                  parent_span_id="w1", worker="pid-42")
+    return spans
+
+
+class TestFixedTracePins:
+    """Numbers recorded with the span format that preceded the plain
+    record (``span_id``/``start_s``/``end_s``/``tags``/``kind``), so
+    the format change is known to leave the analysis and the export
+    alone."""
+
+    def test_critical_path_is_unchanged(self):
+        spans = fixed_trace()
+        assert connected(spans)
+        assert critical_path(spans) == {
+            "e2e_s": 1.0,
+            "components": {
+                "cache_probe": 0.0078125, "admission": 0.015625,
+                "queue_wait": 0.125, "breaker_gate": 0.0078125,
+                "worker": 0.5, "publish": 0.03125, "other": 0.3125,
+            },
+            "coverage": 0.6875,
+            "span_count": 12,
+            "sim": {"spans": 3, "sim_s": 0.3125, "cycles": 1500.0},
+        }
+
+    def test_distributed_chrome_export_is_unchanged(self):
+        events = distributed_chrome_trace({"spans": fixed_trace()})[
+            "traceEvents"]
+        processes = {e["pid"]: e["args"]["name"] for e in events
+                     if e["name"] == "process_name"}
+        assert processes == {1: "http", 2: "service", 3: "shard-0",
+                             4: "pid-42"}
+        threads = [(e["pid"], e["tid"], e["args"]["name"]) for e in events
+                   if e["name"] == "thread_name"]
+        assert threads == [(1, 1, "wall"), (2, 1, "wall"), (3, 1, "wall"),
+                           (4, 1, "sim-time")]
+        timed = [(e["ph"], e["pid"], e["name"], e["ts"], e.get("dur"))
+                 for e in events if e["ph"] != "M"]
+        assert timed == [
+            ("X", 1, "http.parse", 0.0, 7812.5),
+            ("X", 2, "job", 0.0, 1000000.0),
+            ("X", 2, "cache.probe", 0.0, 7812.5),
+            ("X", 2, "admission", 7812.5, 15625.0),
+            ("X", 3, "queue.wait", 23437.5, 125000.0),
+            ("X", 3, "breaker.gate", 148437.5, 7812.5),
+            ("X", 3, "worker", 156250.0, 500000.0),
+            ("X", 2, "publish", 656250.0, 31250.0),
+            ("i", 2, "sse.notify", 1000000.0, None),
+            ("X", 4, "transfer", 156250.0, 250000.0),
+            ("X", 4, "stage", 281250.0, 62500.0),
+            ("X", 4, "hop", 281250.0, 0.0),
+        ]

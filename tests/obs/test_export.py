@@ -8,6 +8,7 @@ from repro.obs import Tracer
 from repro.obs.export import (
     chrome_trace,
     iter_records,
+    make_record,
     span_record,
     summary,
     write_chrome_trace,
@@ -35,7 +36,7 @@ def make_records():
     return list(iter_records(make_tracer()))
 
 
-class TestSpanRecord:
+class TestRecordShape:
     def test_record_shape(self):
         tr = make_tracer()
         outer = tr.spans[0]
@@ -203,23 +204,20 @@ class TestDistributedChromeTrace:
     def make_trace_doc():
         """A small but representative service trace document."""
         t0 = 1000.0
+
+        def wall(sid, name, start, dur, worker, parent=None, **attrs):
+            return make_record(sid, "service", name, t0 + start, dur,
+                               parent=parent, attrs=attrs, trace_id="tr1",
+                               worker=worker)
+
         spans = [
-            {"trace_id": "tr1", "span_id": "parse", "name": "http.parse",
-             "start_s": t0, "end_s": t0 + 0.01, "kind": "service",
-             "worker": "http"},
-            {"trace_id": "tr1", "span_id": "job", "name": "job",
-             "start_s": t0, "end_s": t0 + 1.0, "parent_id": "parse",
-             "kind": "service", "worker": "service"},
-            {"trace_id": "tr1", "span_id": "w1", "name": "worker",
-             "start_s": t0 + 0.2, "end_s": t0 + 0.9, "parent_id": "job",
-             "kind": "service", "worker": "shard-0",
-             "tags": {"outcome": "ok"}},
-            {"trace_id": "tr1", "span_id": "w1.r0s1", "name": "engine",
-             "start_s": 0.0, "end_s": 1e-5, "parent_id": "w1",
-             "kind": "sim", "worker": "pid-42"},
-            {"trace_id": "tr1", "span_id": "notify", "name": "sse.notify",
-             "start_s": t0 + 1.0, "end_s": t0 + 1.0, "parent_id": "job",
-             "kind": "service", "worker": "service"},
+            wall("parse", "http.parse", 0.0, 0.01, "http"),
+            wall("job", "job", 0.0, 1.0, "service", parent="parse"),
+            wall("w1", "worker", 0.2, 0.7, "shard-0", parent="job",
+                 outcome="ok"),
+            make_record("w1.r0s1", "datapath", "engine", 0.0, 1e-5,
+                        parent="w1", trace_id="tr1", worker="pid-42"),
+            wall("notify", "sse.notify", 1.0, 0.0, "service", parent="job"),
         ]
         return {"job_id": "j00000", "trace_id": "tr1", "spans": spans}
 
@@ -250,7 +248,7 @@ class TestDistributedChromeTrace:
                       if e.get("name") == "engine")
         worker = next(e for e in doc["traceEvents"]
                       if e.get("name") == "worker")
-        assert engine["cat"] == "sim"
+        assert engine["cat"] == "datapath"
         # Offset by the worker span's wall start: renders inside it.
         assert engine["ts"] >= worker["ts"]
         assert engine["ts"] + engine["dur"] <= (

@@ -7,6 +7,7 @@ surface (``X-Trace-Id`` everywhere, ``GET /jobs/<id>/trace``).
 """
 
 import asyncio
+import json
 import os
 import time
 
@@ -108,7 +109,7 @@ class TestInProcessTrace:
         assert job.trace_id == "caller-minted-id"
         assert job.summary()["trace_id"] == "caller-minted-id"
         roots = [s for s in doc["spans"] if s["name"] == "job"]
-        assert roots[0]["parent_id"] == "parent01"
+        assert roots[0]["parent"] == "parent01"
         # A parented trace is "disconnected" from the store's point of
         # view only if the parent span never arrives; callers that
         # bring their own parent must record it themselves.
@@ -204,8 +205,8 @@ class TestSpawnBoundary:
         assert job.state == "done" and job.completions == 1
         workers = [s for s in doc["spans"] if s["name"] == "worker"]
         assert len(workers) == 2
-        assert {w["tags"]["retry"] for w in workers} == {0, 1}
-        assert {w["tags"]["outcome"] for w in workers} == {"crash", "ok"}
+        assert {w["attrs"]["retry"] for w in workers} == {0, 1}
+        assert {w["attrs"]["outcome"] for w in workers} == {"crash", "ok"}
         assert all(w["trace_id"] == job.trace_id for w in workers)
         assert any(s["name"] == "retry.wait" for s in doc["spans"])
         assert doc["connected"]
@@ -214,7 +215,44 @@ class TestSpawnBoundary:
         # crashed attempt's namespace.  (Sleep jobs run no engine, so
         # no sim spans here — the service experiment's telemetry lane
         # covers sim children riding a real experiment job.)
-        assert workers[0]["span_id"] != workers[1]["span_id"]
+        assert workers[0]["sid"] != workers[1]["sid"]
+
+    def test_trace_spans_are_spans_jsonl_records(self, tmp_path, capsys):
+        """Service spans and the worker's sim spans use the key set of
+        a traced run's ``.spans.jsonl`` lines, plus ``trace_id`` and
+        ``worker``."""
+        from repro.harness.__main__ import main
+
+        payload = {"experiment": "fig07", "preset": "quick"}
+
+        async def scenario():
+            service = TraceService(ServiceConfig(
+                shards=1, executor="spawn", job_timeout_s=120.0,
+            ))
+            await service.start()
+            try:
+                job = service.submit("experiment", payload)
+                await wait_terminal(service, job)
+                return job, service.trace(job.id)
+            finally:
+                await service.aclose()
+
+        job, doc = run_async(scenario())
+        assert job.state == "done" and doc["connected"]
+        assert main(["fig07", "--preset", "quick",
+                     "--trace", str(tmp_path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "fig07.spans.jsonl").read_text().splitlines()
+        jsonl_keys = set().union(*(json.loads(line) for line in lines))
+        core = {"kind", "sid", "cat", "name", "ts", "dur", "run"}
+        assert core <= jsonl_keys
+        cats = set()
+        for span in doc["spans"]:
+            keys = set(span) - {"trace_id", "worker"}
+            assert core <= keys <= jsonl_keys, span
+            assert span["trace_id"] == job.trace_id and span["worker"]
+            cats.add(span["cat"])
+        assert "service" in cats and len(cats) > 1
 
 
 class TestRecoveryKeepsTraceId:
