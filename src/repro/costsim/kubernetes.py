@@ -12,7 +12,8 @@ from __future__ import annotations
 import typing as t
 
 from repro.costsim.packing import BoughtVm, PlacedContainer
-from repro.traces.aws import cheapest_fitting
+from repro.errors import CapacityError
+from repro.traces.aws import BY_PRICE, VmModel
 from repro.traces.google import TracePod
 
 
@@ -28,12 +29,9 @@ def schedule_user(pods: t.Sequence[TracePod],
     direction = {"most-requested": 1.0, "least-requested": -1.0}[policy]
     vms: list[BoughtVm] = []
     for pod in sorted(pods, key=lambda p: p.size_key, reverse=True):
-        cpu = pod.cpu
-        memory = pod.memory
-        target = _pick_node(vms, cpu, memory, direction)
+        target = pick_node(vms, pod, direction)
         if target is None:
-            target = BoughtVm(cheapest_fitting(cpu, memory),
-                              name=f"vm-{len(vms)}")
+            target = BoughtVm(new_node_model(pod), name=f"vm-{len(vms)}")
             vms.append(target)
         for container in pod.containers:
             target.place(
@@ -46,16 +44,30 @@ def schedule_user(pods: t.Sequence[TracePod],
     return vms
 
 
-def _pick_node(vms: t.Sequence[BoughtVm], cpu: float, memory: float,
-               direction: float) -> BoughtVm | None:
-    """Among VMs that can hold the whole pod (*cpu*, *memory* are its
-    totals), the best-scoring one."""
+def pick_node(vms: t.Sequence[BoughtVm], pod: TracePod,
+              direction: float = 1.0) -> BoughtVm | None:
+    """Among VMs that can take the whole *pod*, the best-scoring one
+    (the first of equals)."""
+    cpu = pod.cpu
+    memory = pod.memory
     best: BoughtVm | None = None
     best_score = -float("inf")
     for vm in vms:
         if not vm.fits(cpu, memory):
             continue
         score = direction * vm.requested_score()
-        if score > best_score:
+        if score > best_score and vm.takes(pod.containers, cpu, memory):
             best, best_score = vm, score
     return best
+
+
+def new_node_model(pod: TracePod) -> VmModel:
+    """The cheapest model whose new VM takes the whole *pod*."""
+    cpu = pod.cpu
+    memory = pod.memory
+    for model in BY_PRICE:
+        if model.fits(cpu, memory) and BoughtVm(model).takes(
+                pod.containers, cpu, memory):
+            return model
+    raise CapacityError(
+        f"demand cpu={cpu:.4f} mem={memory:.4f} exceeds the largest model")

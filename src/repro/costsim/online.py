@@ -27,10 +27,11 @@ import dataclasses
 import heapq
 import typing as t
 
+from repro.costsim.kubernetes import new_node_model, pick_node
 from repro.costsim.packing import BoughtVm, PlacedContainer
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
-from repro.traces.aws import VmModel, cheapest_fitting
+from repro.traces.aws import VmModel
 from repro.traces.google import TraceConfig, TracePod, generate_trace
 
 
@@ -181,11 +182,7 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
             pod: TracePod, now: float,
             split: bool) -> tuple[list[PlacedContainer], int]:
     # Whole-pod first (most requested), as in §5.3.1 step 3a.
-    target = None
-    best = -1.0
-    for vm in fleet.vms:
-        if vm.fits(pod.cpu, pod.memory) and vm.requested_score() > best:
-            target, best = vm, vm.requested_score()
+    target = pick_node(fleet.vms, pod)
     placed: list[PlacedContainer] = []
     if target is not None:
         for container in pod.containers:
@@ -226,7 +223,7 @@ def _arrive(fleet: _Fleet, location: dict[PlacedContainer, BoughtVm],
             location.pop(item).remove(item)
 
     # Buy the cheapest VM that hosts the whole pod (step 3b).
-    vm = fleet.buy(cheapest_fitting(pod.cpu, pod.memory), now)
+    vm = fleet.buy(new_node_model(pod), now)
     for container in pod.containers:
         item = PlacedContainer(pod.name, container, pod.splittable)
         vm.place(item)

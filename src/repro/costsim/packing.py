@@ -100,6 +100,24 @@ class BoughtVm:
     def fits(self, cpu: float, memory: float) -> bool:
         return cpu <= self.free_cpu + 1e-12 and memory <= self.free_memory + 1e-12
 
+    def takes(self, containers: t.Iterable[TraceContainer],
+              cpu: float, memory: float) -> bool:
+        """Whether :meth:`place` takes *containers* one by one, given
+        that :meth:`fits` takes their ``sum()`` totals *cpu*, *memory*:
+        the running totals it checks round differently from ``sum()``."""
+        if cpu + 1e-9 <= self.free_cpu and memory + 1e-9 <= self.free_memory:
+            return True
+        used_cpu = self._used_cpu
+        used_memory = self._used_memory
+        for container in containers:
+            if not (container.cpu <= self._cpu_rel - used_cpu + 1e-12
+                    and container.memory
+                    <= self._memory_rel - used_memory + 1e-12):
+                return False
+            used_cpu += container.cpu
+            used_memory += container.memory
+        return True
+
     def requested_score(self) -> float:
         """Kubernetes "most requested": mean requested fraction."""
         return 0.5 * (

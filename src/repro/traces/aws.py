@@ -53,7 +53,7 @@ M5_CATALOG: tuple[VmModel, ...] = (
 )
 
 #: The catalog in price order, sorted once for :func:`cheapest_fitting`.
-_BY_PRICE: tuple[VmModel, ...] = tuple(sorted(M5_CATALOG))
+BY_PRICE: tuple[VmModel, ...] = tuple(sorted(M5_CATALOG))
 
 
 def model(name: str) -> VmModel:
@@ -70,7 +70,7 @@ def cheapest_fitting(cpu_rel: float, memory_rel: float) -> VmModel:
     This is the "buy a new VM of the size that best fits" rule of
     §5.3.1 step 3b.
     """
-    for m in _BY_PRICE:
+    for m in BY_PRICE:
         if m.fits(cpu_rel, memory_rel):
             return m
     raise CapacityError(

@@ -369,15 +369,10 @@ class TestHostloImprovement:
         assert sum(len(vm.placed) for vm in improved) == len(sizes)
 
 
-def near_tie_users(users: int = 80) -> list[TraceUser]:
+def grid_users(users: int, shift) -> list[TraceUser]:
     """The seed trace's first *users* users, every request snapped to a
-    1/96 grid and then lowered by 0 to 3e-13.
-
-    Equal grid loads give VMs equal wastes; the jitter spreads them a
-    few 1e-13 apart, into the 1e-12 chains that the improvement pass's
-    near-tie rule decides (the default population forms none).  Jitter
-    only lowers a request, so no pod total lands on a fit tolerance.
-    """
+    1/96 grid and then moved by ``shift(n)`` (a ``(cpu, memory)`` pair)
+    for the *n*-th container."""
     out = []
     count = 0
     for user in generate_trace(TraceConfig(users=users)):
@@ -385,14 +380,33 @@ def near_tie_users(users: int = 80) -> list[TraceUser]:
         for p in user.pods:
             containers = []
             for c in p.containers:
+                cpu_shift, memory_shift = shift(count)
                 containers.append(TraceContainer(
-                    max(1, round(c.cpu * 96)) / 96 - (count % 4) * 1e-13,
-                    max(1, round(c.memory * 96)) / 96
-                    - (count // 4 % 4) * 1e-13))
+                    max(1, round(c.cpu * 96)) / 96 + cpu_shift,
+                    max(1, round(c.memory * 96)) / 96 + memory_shift))
                 count += 1
             pods.append(TracePod(p.name, tuple(containers), p.splittable))
         out.append(TraceUser(user.name, tuple(pods)))
     return out
+
+
+def near_tie_users(users: int = 80) -> list[TraceUser]:
+    """:func:`grid_users` with every request lowered by 0 to 3e-13.
+
+    Equal grid loads give VMs equal wastes; the jitter spreads them a
+    few 1e-13 apart, into the 1e-12 chains that the improvement pass's
+    near-tie rule decides (the default population forms none).  Jitter
+    only lowers a request, so no pod total lands on a fit tolerance.
+    """
+    return grid_users(users, lambda n: (-((n % 4) * 1e-13),
+                                        -((n // 4 % 4) * 1e-13)))
+
+
+def edge_users(users: int = 80) -> list[TraceUser]:
+    """:func:`grid_users` with requests moved by -3e-13 to +3e-13, so
+    some pod totals land within a hair of a VM's capacity."""
+    return grid_users(users, lambda n: (((n % 7) - 3) * 1e-13,
+                                        ((n // 7 % 7) - 3) * 1e-13))
 
 
 #: sha256 of the improved placements of :func:`near_tie_users`, one
@@ -440,6 +454,18 @@ class TestFullSimulation:
             for vm in improve_assignment(schedule_user(user.pods)):
                 digest.update(f"{placements([vm])!r}\n".encode())
         assert digest.hexdigest() == NEAR_TIE_PLACEMENTS_SHA256
+
+    def test_pods_at_the_capacity_edge_are_placed(self):
+        """A pod whose totals fit a VM by a hair is only put there when
+        ``place`` takes every container against the running totals;
+        otherwise it goes to another VM, or a larger new one."""
+        for user in edge_users():
+            vms = schedule_user(user.pods)
+            assert sum(len(vm.placed) for vm in vms) == sum(
+                len(p.containers) for p in user.pods)
+            for vm in vms:
+                assert vm.fits(0.0, 0.0)
+            improve_assignment(vms)
 
     def test_histogram_counts_savers(self):
         users = generate_trace(TraceConfig(users=80, seed=3))
