@@ -19,18 +19,33 @@ import sys
 
 from repro.harness import ExperimentConfig, run_experiment
 
-from .test_golden import canonical
+from .test_golden import canonical, quick_result
 
-EXPERIMENTS = ("fig02", "fig04", "netstack", "reliability")
+#: The DES and costsim experiments, fabric and chaos included.  Left
+#: out to keep the audit's added wall near 10 s: ``online_cost``
+#: (about 11 s at quick) and the two costliest DES ablations,
+#: ``ablation_netfilter_cost`` and ``ablation_rule_bloat`` (about
+#: 1.7 s each), which rerun the figures' datapath with one knob turned.
+EXPERIMENTS = (
+    "fig02", "fig04", "fig05", "fig06", "fig07", "fig08", "fig10",
+    "fig11_12", "fig13", "fig14", "fig15", "netstack", "reliability",
+    "analytic_check", "ablation_hostlo_thread", "ablation_no_batching",
+    "fig09", "ablation_scheduler_policy", "fabric", "chaos",
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
-def hashes() -> dict[str, str]:
-    config = ExperimentConfig.preset("quick")
-    return {e: hashlib.sha256(
-        canonical(run_experiment(e, config)).encode()).hexdigest()
-        for e in EXPERIMENTS}
+def hashes(run=None) -> dict[str, str]:
+    """sha256 of each experiment's canonical quick result, run by
+    *run* (a fresh run by default)."""
+    if run is None:
+        config = ExperimentConfig.preset("quick")
+
+        def run(experiment):
+            return run_experiment(experiment, config)
+    return {e: hashlib.sha256(canonical(run(e)).encode()).hexdigest()
+            for e in EXPERIMENTS}
 
 
 #: Run in the subprocess: this module's ``hashes`` as JSON on stdout.
@@ -55,7 +70,8 @@ def test_quick_runs_repeat_in_process_and_under_another_hash_seed():
         [sys.executable, "-c", _CHILD.format(tests=tests)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
-        first = hashes()
+        # The session's one run of each, shared with the golden test.
+        first = hashes(quick_result)
         second = hashes()
     finally:
         out, err = child.communicate(timeout=300)
