@@ -1,31 +1,38 @@
-"""A spawn-safe multiprocessing worker pool with crash recovery.
+"""Spawn worker processes with crash recovery, and a pool of them.
 
 ``multiprocessing.Pool`` cannot express what a campaign needs: a
 per-job wall-clock timeout, and survival of a worker that dies mid-job
-(segfault, ``os._exit``, OOM-kill).  This pool owns its processes
-directly — one inbox :class:`~multiprocessing.Queue` per worker and a
-shared outbox — so the driver always knows *which* job a dead or
-overdue worker was holding and can requeue exactly that job.
+(segfault, ``os._exit``, OOM-kill).  A :class:`SpawnWorker` owns one
+process and its own inbox and outbox, so its caller always knows which
+job a dead or overdue process was holding.  :class:`WorkerPool` drives
+several, one thread each; each ``spawn`` shard of the service awaits
+one.
 
-Recovery reuses the :mod:`repro.faults` retry vocabulary: a
-:class:`~repro.faults.recovery.RetryPolicy` bounds attempts per job
-(the default ``max_attempts=2`` is the campaign's requeue-once
-semantics).  Crashes and timeouts are *environmental* failures and
-consume attempts; an exception raised inside the job function is
-*deterministic* — rerunning it would fail identically — so it fails
-the job immediately, whatever the budget says.
+Every failure is a :class:`JobFailedError` with a ``reason``.
+``"crash"`` and ``"timeout"`` are *environmental*: the process is
+replaced, and the pool retries under a :mod:`repro.faults`
+:class:`~repro.faults.recovery.RetryPolicy` (the default
+``max_attempts=2`` is requeue-once).  ``"exception"`` is raised inside
+the job, is *deterministic* and fails it at once.  ``"aborted"`` is a
+kill from outside (:meth:`SpawnWorker.abort` or ``close``).
 
-The ``spawn`` start method is used unconditionally: it is the only one
-that works on every platform, never inherits a forked copy of the
-parent's simulator state, and keeps workers importable-module-clean
-(job functions must be top-level so they pickle by reference).
+Workers are non-daemonic, since a daemonic process may not start
+children and the ``campaign`` and ``service`` experiments do.  Every
+owner closes its workers, and an exit hook closes any left before
+``multiprocessing`` joins its children; a worker whose parent dies
+exits too.  The ``spawn`` start method works on every platform and
+never inherits a forked copy of the parent's simulator state (job
+functions must be top-level so they pickle by reference).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.util
+import os
 import queue as queue_mod
+import threading
 import time
 import traceback
 import typing as t
@@ -51,30 +58,141 @@ def worker_identity() -> dict[str, t.Any]:
     """Who is executing right now — stamped into distributed-trace
     docs so a span can name the worker process it ran in.  Works in a
     spawn worker and in the parent (thread executors) alike."""
-    import os
-
     return {"pid": os.getpid()}
 
 
 def _worker_main(inbox: t.Any, outbox: t.Any) -> None:
-    """Worker loop: run tasks from *inbox* until the ``None`` sentinel."""
+    """Worker loop: run each ``(fn, args)`` task from *inbox*."""
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     while True:
-        item = inbox.get()
-        if item is None:
-            return
-        index, fn, args = item
+        fn, args = inbox.get()
         try:
-            outbox.put((index, "ok", fn(*args)))
+            outbox.put(("ok", fn(*args)))
         except BaseException:
-            outbox.put((index, "error", traceback.format_exc()))
+            outbox.put(("error", traceback.format_exc()))
 
 
-@dataclasses.dataclass
-class _Worker:
-    proc: t.Any
-    inbox: t.Any
-    index: int | None = None
-    deadline: float = 0.0
+def _exit_with_parent() -> None:
+    """End this worker when its parent dies, so a killed worker takes
+    the workers of a job's own pool with it instead of orphaning them."""
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+#: Workers with a live process; the exit hook below closes them.
+_LIVE: set[SpawnWorker] = set()
+
+
+class SpawnWorker:
+    """One persistent ``spawn`` process running :func:`_worker_main`.
+
+    It starts on first :meth:`run` and respawns after a crash, a
+    timeout or an :meth:`abort`; :meth:`close` stops it for good.
+    """
+
+    def __init__(self, *, timeout_s: float = 300.0,
+                 poll_s: float = 0.05) -> None:
+        if timeout_s <= 0:
+            raise ConfigurationError("timeout_s must be positive")
+        self.timeout_s = float(timeout_s)
+        self._poll_s = float(poll_s)
+        self._lock = threading.Lock()
+        self._generation = 0
+        self._closed = False
+        self._proc: t.Any = None
+        self._inbox: t.Any = None
+        self._outbox: t.Any = None
+
+    @property
+    def pid(self) -> int | None:
+        """The live process's pid (None before first use or after close)."""
+        with self._lock:
+            if self._proc is not None and self._proc.is_alive():
+                return self._proc.pid
+            return None
+
+    def run(self, fn: t.Callable[..., t.Any],
+            args: t.Sequence[t.Any] = ()) -> t.Any:
+        """Return ``fn(*args)`` run in the process, or raise
+        :class:`JobFailedError` (an ``"exception"`` carries the job's
+        traceback)."""
+        with self._lock:
+            if self._closed:
+                raise JobFailedError("worker closed", reason="aborted")
+            if self._proc is None or not self._proc.is_alive():
+                self._respawn_locked()
+            generation = self._generation
+            proc, outbox = self._proc, self._outbox
+            self._inbox.put((fn, tuple(args)))
+        deadline = time.monotonic() + self.timeout_s
+        while True:
+            try:
+                status, payload = outbox.get(timeout=self._poll_s)
+            except queue_mod.Empty:
+                pass
+            else:
+                if status == "error":
+                    raise JobFailedError(payload, reason="exception")
+                return payload
+            with self._lock:
+                if self._generation != generation:
+                    raise JobFailedError("job aborted: worker replaced "
+                                         "mid-flight", reason="aborted")
+                if not proc.is_alive():
+                    reason = "crash"
+                    message = f"worker died (exitcode {proc.exitcode})"
+                elif time.monotonic() > deadline:
+                    reason = "timeout"
+                    message = f"job exceeded {self.timeout_s}s"
+                else:
+                    continue
+                self._respawn_locked()
+            raise JobFailedError(f"{message}; worker replaced", reason=reason)
+
+    def abort(self) -> None:
+        """Kill the running job and respawn; its :meth:`run` sees the
+        generation change and raises ``"aborted"``."""
+        with self._lock:
+            if self._proc is not None and not self._closed:
+                self._respawn_locked()
+
+    def close(self) -> None:
+        """Stop the process for good; a :meth:`run` in flight raises
+        ``"aborted"``."""
+        with self._lock:
+            self._closed = True
+            self._generation += 1
+            self._stop_locked()
+
+    def _respawn_locked(self) -> None:
+        self._stop_locked()
+        ctx = multiprocessing.get_context("spawn")
+        self._inbox, self._outbox = ctx.Queue(), ctx.Queue()
+        self._proc = ctx.Process(target=_worker_main, daemon=False,
+                                 args=(self._inbox, self._outbox))
+        self._proc.start()
+        self._generation += 1
+        _LIVE.add(self)
+
+    def _stop_locked(self) -> None:
+        if self._proc is None:
+            return
+        _LIVE.discard(self)
+        self._proc.terminate()
+        self._proc.join(timeout=5.0)
+        self._inbox.cancel_join_thread()
+        self._outbox.cancel_join_thread()
+        self._proc = None
+
+
+def _close_live_workers() -> None:
+    for worker in list(_LIVE):
+        worker.close()
+
+
+# At exit multiprocessing runs finalizers of priority >= 0, then joins
+# every non-daemonic child: close the workers in between.
+multiprocessing.util.Finalize(None, _close_live_workers, exitpriority=0)
 
 
 class WorkerPool:
@@ -96,7 +214,6 @@ class WorkerPool:
         self.timeout_s = float(timeout_s)
         self.retry = retry
         self._poll_s = float(poll_s)
-        self._ctx = multiprocessing.get_context("spawn")
 
     def run(
         self,
@@ -109,101 +226,65 @@ class WorkerPool:
         completion order) — the campaign runner uses it to stream
         progress.  Raises :class:`JobFailedError` on the first job
         that fails deterministically or exhausts its attempts; the
-        pool is torn down before the exception propagates.
+        workers are closed before the exception propagates.
         """
         tasks = list(tasks)
-        if not tasks:
-            return []
+        todo: queue_mod.SimpleQueue[int] = queue_mod.SimpleQueue()
+        for i in range(len(tasks)):
+            todo.put(i)
+        done: queue_mod.SimpleQueue[tuple[int, bool, t.Any]] = (
+            queue_mod.SimpleQueue())
+        workers = [SpawnWorker(timeout_s=self.timeout_s, poll_s=self._poll_s)
+                   for _ in range(min(self.workers, len(tasks)))]
+
+        def drive(worker: SpawnWorker) -> None:
+            try:
+                while True:
+                    try:
+                        i = todo.get_nowait()
+                    except queue_mod.Empty:
+                        return
+                    done.put((i, True, self._attempt(worker, tasks[i], i)))
+            except Exception as exc:  # noqa: BLE001 - raised by run()
+                done.put((-1, False, exc))
+
+        threads = [threading.Thread(target=drive, args=(w,), daemon=True)
+                   for w in workers]
         results: list[t.Any] = [None] * len(tasks)
-        finished = [False] * len(tasks)
-        attempts = [0] * len(tasks)
-        pending: list[int] = list(range(len(tasks)))
-        outbox = self._ctx.Queue()
-        alive: list[_Worker] = []
-
-        def spawn() -> None:
-            inbox = self._ctx.Queue()
-            proc = self._ctx.Process(
-                target=_worker_main, args=(inbox, outbox), daemon=False
-            )
-            proc.start()
-            alive.append(_Worker(proc=proc, inbox=inbox))
-
-        def label(i: int) -> str:
-            return tasks[i].label or f"task {i}"
-
         try:
-            for _ in range(min(self.workers, len(tasks))):
-                spawn()
-            remaining = len(tasks)
-            while remaining:
-                for worker in alive:
-                    if worker.index is None and pending:
-                        i = pending.pop(0)
-                        attempts[i] += 1
-                        worker.index = i
-                        worker.deadline = time.monotonic() + self.timeout_s
-                        worker.inbox.put((i, tasks[i].fn, tuple(tasks[i].args)))
-                try:
-                    index, status, payload = outbox.get(timeout=self._poll_s)
-                except queue_mod.Empty:
-                    pass
-                else:
-                    for worker in alive:
-                        if worker.index == index:
-                            worker.index = None
-                    if not finished[index]:
-                        finished[index] = True
-                        remaining -= 1
-                        if status == "error":
-                            raise JobFailedError(
-                                f"{label(index)} raised:\n{payload}",
-                                job=label(index),
-                                reason="exception",
-                            )
-                        results[index] = payload
-                        if on_result is not None:
-                            on_result(index, payload)
-                    continue  # drain the outbox before health checks
-                now = time.monotonic()
-                for worker in list(alive):
-                    if worker.index is None:
-                        continue
-                    crashed = not worker.proc.is_alive()
-                    overdue = now > worker.deadline
-                    if not (crashed or overdue):
-                        continue
-                    i = worker.index
-                    reason = "crash" if crashed else "timeout"
-                    self._retire(worker)
-                    alive.remove(worker)
-                    if attempts[i] < self.retry.max_attempts:
-                        pending.insert(0, i)
-                    else:
-                        raise JobFailedError(
-                            f"{label(i)}: worker {reason} "
-                            f"(attempt {attempts[i]}/"
-                            f"{self.retry.max_attempts})",
-                            job=label(i),
-                            reason=reason,
-                        )
-                    spawn()
+            for thread in threads:
+                thread.start()
+            for _ in tasks:
+                i, ok, value = done.get()
+                if not ok:
+                    raise value
+                results[i] = value
+                if on_result is not None:
+                    on_result(i, value)
         finally:
-            for worker in alive:
-                self._retire(worker, graceful=worker.index is None)
-            outbox.cancel_join_thread()
+            for worker in workers:
+                worker.close()
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join()
         return results
 
-    @staticmethod
-    def _retire(worker: _Worker, graceful: bool = False) -> None:
-        """Stop one worker: politely when idle, forcefully otherwise."""
-        if graceful and worker.proc.is_alive():
+    def _attempt(self, worker: SpawnWorker, task: Task, i: int) -> t.Any:
+        """Run one task, retrying a crash or timeout within the policy."""
+        label = task.label or f"task {i}"
+        attempt = 1
+        while True:
             try:
-                worker.inbox.put(None)
-                worker.proc.join(timeout=5.0)
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-            worker.proc.join(timeout=5.0)
-        worker.inbox.cancel_join_thread()
+                return worker.run(task.fn, task.args)
+            except JobFailedError as exc:
+                if exc.reason == "exception":
+                    message = f"{label} raised:\n{exc}"
+                elif (exc.reason in ("crash", "timeout")
+                      and attempt < self.retry.max_attempts):
+                    attempt += 1
+                    continue
+                else:
+                    message = (f"{label}: worker {exc.reason} (attempt "
+                               f"{attempt}/{self.retry.max_attempts})")
+                raise JobFailedError(message, job=label,
+                                     reason=exc.reason) from None

@@ -23,6 +23,11 @@ from repro.errors import ConfigurationError
 from repro.harness.config import ExperimentConfig
 
 
+def experiment_key(experiment: str, preset: str, seed: int) -> str:
+    """The stable job name: ``<experiment>@<preset>#s<seed>``."""
+    return f"{experiment}@{preset}#s{seed}"
+
+
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
     """One unit of campaign work: run *experiment* under *config*."""
@@ -34,8 +39,7 @@ class JobSpec:
 
     @property
     def key(self) -> str:
-        """The stable job name: ``<experiment>@<preset>#s<seed>``."""
-        return f"{self.experiment}@{self.preset}#s{self.seed}"
+        return experiment_key(self.experiment, self.preset, self.seed)
 
 
 @dataclasses.dataclass(frozen=True)

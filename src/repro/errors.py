@@ -82,11 +82,13 @@ class CampaignError(ReproError):
 
 
 class JobFailedError(CampaignError):
-    """A campaign job exhausted its attempts (crash, timeout, or a
-    deterministic in-job exception).
+    """A job failed in a worker: ``reason`` is ``"crash"``,
+    ``"timeout"``, ``"exception"`` (deterministic, in the job) or
+    ``"aborted"`` (killed from outside).
 
-    Carries the job label and the failure reason so the campaign
-    report — and CI logs — can say *which* job died and why.
+    The campaign pool and the service's executors raise it; it carries
+    the job label so the campaign report — and CI logs — can say
+    *which* job died and why.
     """
 
     def __init__(self, message: str, *, job: str | None = None,

@@ -211,7 +211,8 @@ def distributed_chrome_trace(
     real deployment.  Wall timestamps are re-based to the trace's first
     span; sim spans are offset by their worker span's wall start so the
     engine's timeline renders *inside* the worker execution that
-    produced it, sharing one clock axis.
+    produced it, sharing one clock axis.  An ``event`` record and a
+    zero-length wall span render as ``i`` instants.
     """
     spans = trace_doc.get("spans", [])
     wall_starts = [s["ts"] for s in spans if s["cat"] == "service"]
@@ -240,7 +241,10 @@ def distributed_chrome_trace(
             yield (
                 pids.setdefault(worker, len(pids) + 1), worker,
                 "wall" if wall else "sim-time", span["name"], span["cat"],
-                ts, None if duration <= 0.0 and wall else duration, args,
+                ts,
+                (None if span.get("kind") == "event"
+                 or (wall and duration <= 0.0) else duration),
+                args,
             )
 
     return _trace_events(rows(), instant_scope="p", sort_processes=True)

@@ -3,8 +3,9 @@
 The classic three-state machine, sized for one shard's executor:
 
 * **closed** — healthy; jobs flow.  Worker crashes and timeouts
-  (:class:`~repro.service.shards.WorkerCrashError`, the *environmental*
-  failures — a job's own deterministic exception never counts) add to
+  (:class:`~repro.errors.JobFailedError` with ``reason`` ``"crash"`` or
+  ``"timeout"``, the *environmental* failures — a job's own
+  deterministic ``"exception"`` never counts) add to
   a consecutive-failure streak; at
   :attr:`BreakerConfig.failure_threshold` the breaker trips.
 * **open** — the shard is presumed sick.  The shard loop stops

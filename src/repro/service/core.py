@@ -80,6 +80,7 @@ from repro.campaign.pool import DEFAULT_RETRY
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
+    JobFailedError,
     ServiceError,
     ServiceUnavailableError,
 )
@@ -111,13 +112,7 @@ from repro.service.jobs import (
     run_payload,
 )
 from repro.service.queue import AdmissionController
-from repro.service.shards import (
-    JobAbortedError,
-    JobExecutionError,
-    ShardRouter,
-    WorkerCrashError,
-    make_executor,
-)
+from repro.service.shards import ShardRouter, make_executor
 
 
 #: Explicit buckets for the service latency histograms: 1 ms to 60 s.
@@ -944,21 +939,21 @@ class TraceService:
             shard_row = f"shard-{job.shard}"
             try:
                 payload = run.result()
-            except JobAbortedError:
-                self._complete(job, CANCELLED)
-                return
-            except JobExecutionError as exc:
-                # Deterministic in-job failure: the *worker* is fine,
-                # so the breaker hears success, not failure.
-                breaker.record_success()
-                self._span(job, "worker", attempt_start, time.time(),
-                           span_id=worker_span, worker=shard_row,
-                           outcome="error", attempt=job.attempts,
-                           retry=job.attempts - 1, shard=job.shard,
-                           pid=executor.worker_pid())
-                self._complete(job, FAILED, error=str(exc))
-                return
-            except WorkerCrashError as exc:
+            except JobFailedError as exc:
+                if exc.reason == "aborted":
+                    self._complete(job, CANCELLED)
+                    return
+                if exc.reason == "exception":
+                    # Deterministic in-job failure: the *worker* is
+                    # fine, so the breaker hears success, not failure.
+                    breaker.record_success()
+                    self._span(job, "worker", attempt_start, time.time(),
+                               span_id=worker_span, worker=shard_row,
+                               outcome="error", attempt=job.attempts,
+                               retry=job.attempts - 1, shard=job.shard,
+                               pid=executor.worker_pid())
+                    self._complete(job, FAILED, error=str(exc))
+                    return
                 breaker.record_failure()
                 t_crash = time.time()
                 self._span(job, "worker", attempt_start, t_crash,

@@ -33,6 +33,7 @@ import os
 import time
 import typing as t
 
+from repro.campaign.spec import experiment_key
 from repro.errors import ServiceError
 
 #: Job lifecycle states.  REJECTED submissions never become jobs, so
@@ -58,8 +59,9 @@ def job_key(kind: str, payload: t.Mapping[str, t.Any]) -> str:
     keys).
     """
     if kind == "experiment":
-        base = (f'{payload["experiment"]}@{payload.get("preset", "quick")}'
-                f'#s{int(payload.get("seed", 0))}')
+        base = experiment_key(payload["experiment"],
+                              payload.get("preset", "quick"),
+                              int(payload.get("seed", 0)))
         overrides = payload.get("overrides") or {}
         if overrides:
             digest = hashlib.sha256(

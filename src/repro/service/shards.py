@@ -10,17 +10,19 @@ of its key (:class:`ShardRouter`), which gives two properties for free:
 * load spreads statistically without any coordination between shards
   (the ECMP argument from the fabric, applied to compute).
 
-Two executors implement the same small async surface:
+Two executors implement the same small async surface, and both fail
+with :class:`~repro.errors.JobFailedError` (``reason`` ``"crash"``,
+``"timeout"``, ``"exception"`` or ``"aborted"``):
 
 * :class:`ThreadExecutor` — runs jobs on the default thread pool.
   Fast to start, shares the interpreter; a cancelled job is
   *abandoned* (its thread finishes into the void) because threads
   cannot be killed.  The default for tests and in-process embedding.
-* :class:`SpawnExecutor` — one persistent ``spawn`` worker process per
-  shard, reusing the campaign pool's ``_worker_main`` loop.  Crashes
-  and timeouts surface as :class:`WorkerCrashError` so the shard loop
-  can requeue under the :mod:`repro.faults` retry policy, and cancel
-  is real: terminate + respawn.
+* :class:`SpawnExecutor` — one campaign
+  :class:`~repro.campaign.pool.SpawnWorker` per shard: a persistent,
+  non-daemonic ``spawn`` process.  A crash or a timeout replaces the
+  process so the shard loop can requeue under the :mod:`repro.faults`
+  retry policy, and cancel is real: terminate + respawn.
 
 Executor methods are called only from the service's event loop; the
 blocking pieces run via ``asyncio.to_thread``.
@@ -30,32 +32,10 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import multiprocessing
-import queue as queue_mod
-import threading
-import time
 import typing as t
 
-from repro.campaign.pool import _worker_main
-from repro.errors import ConfigurationError, ServiceError
-
-
-class WorkerCrashError(ServiceError):
-    """The worker executing a job died or went overdue — an
-    *environmental* failure, retryable under the shard's RetryPolicy."""
-
-    def __init__(self, message: str, *, reason: str = "crash") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
-class JobExecutionError(ServiceError):
-    """The job function itself raised — deterministic, never retried
-    (rerunning identical code on identical input fails identically)."""
-
-
-class JobAbortedError(ServiceError):
-    """The in-flight job was cancelled out from under its executor."""
+from repro.campaign.pool import SpawnWorker
+from repro.errors import ConfigurationError, JobFailedError
 
 
 class ShardRouter:
@@ -102,13 +82,13 @@ class ThreadExecutor:
             raise
         if not done:
             self._abandon(task)
-            raise WorkerCrashError(
+            raise JobFailedError(
                 f"job exceeded {self.timeout_s}s on the thread executor",
                 reason="timeout",
             )
         status, payload = task.result()
         if status == "error":
-            raise JobExecutionError(payload)
+            raise JobFailedError(payload, reason="exception")
         return payload
 
     @staticmethod
@@ -144,107 +124,25 @@ class SpawnExecutor:
 
     def __init__(self, *, timeout_s: float = 300.0,
                  poll_s: float = 0.05) -> None:
-        if timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
-        self.timeout_s = float(timeout_s)
-        self._poll_s = float(poll_s)
-        self._ctx = multiprocessing.get_context("spawn")
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._proc: t.Any = None
-        self._inbox: t.Any = None
-        self._outbox: t.Any = None
-
-    def _ensure_worker(self) -> None:
-        with self._lock:
-            if self._proc is not None and self._proc.is_alive():
-                return
-            self._respawn_locked()
-
-    def _respawn_locked(self) -> None:
-        if self._proc is not None and self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(timeout=5.0)
-        if self._inbox is not None:
-            self._inbox.cancel_join_thread()
-            self._outbox.cancel_join_thread()
-        self._inbox = self._ctx.Queue()
-        self._outbox = self._ctx.Queue()
-        self._proc = self._ctx.Process(
-            target=_worker_main, args=(self._inbox, self._outbox),
-            daemon=True,
-        )
-        self._proc.start()
-        self._generation += 1
+        self._worker = SpawnWorker(timeout_s=timeout_s, poll_s=poll_s)
 
     async def run(self, fn: t.Callable[..., t.Any],
                   args: tuple[t.Any, ...]) -> t.Any:
-        return await asyncio.to_thread(self._run_blocking, fn, args)
-
-    def _run_blocking(self, fn: t.Callable[..., t.Any],
-                      args: tuple[t.Any, ...]) -> t.Any:
-        self._ensure_worker()
-        with self._lock:
-            generation = self._generation
-            proc, outbox = self._proc, self._outbox
-            self._inbox.put((0, fn, tuple(args)))
-        deadline = time.monotonic() + self.timeout_s
-        while True:
-            try:
-                _, status, payload = outbox.get(timeout=self._poll_s)
-            except queue_mod.Empty:
-                with self._lock:
-                    if self._generation != generation:
-                        raise JobAbortedError(
-                            "job aborted: worker replaced mid-flight"
-                        ) from None
-                if not proc.is_alive():
-                    raise WorkerCrashError(
-                        f"shard worker died (exitcode "
-                        f"{proc.exitcode})", reason="crash",
-                    )
-                if time.monotonic() > deadline:
-                    self._kill_and_respawn()
-                    raise WorkerCrashError(
-                        f"job exceeded {self.timeout_s}s; worker "
-                        "replaced", reason="timeout",
-                    )
-                continue
-            if status == "error":
-                raise JobExecutionError(payload)
-            return payload
+        return await asyncio.to_thread(self._worker.run, fn, args)
 
     def worker_pid(self) -> int | None:
-        """The current worker process's pid (None before first use or
-        after a crash) — lets a worker span name its process even when
-        the attempt died and no trace doc came back."""
-        with self._lock:
-            if self._proc is not None and self._proc.is_alive():
-                return self._proc.pid
-            return None
-
-    def _kill_and_respawn(self) -> None:
-        with self._lock:
-            self._respawn_locked()
+        """The worker process's pid (None before first use) — lets a
+        worker span name its process even when no trace doc came
+        back."""
+        return self._worker.pid
 
     async def abort(self) -> None:
-        """Kill whatever runs now; the waiting ``run`` call sees the
-        generation bump and raises :class:`JobAbortedError`."""
-        await asyncio.to_thread(self._kill_and_respawn)
+        """Kill whatever runs now; the waiting ``run`` call raises
+        ``JobFailedError(reason="aborted")``."""
+        await asyncio.to_thread(self._worker.abort)
 
     async def aclose(self) -> None:
-        def close() -> None:
-            with self._lock:
-                if self._proc is None:
-                    return
-                if self._proc.is_alive():
-                    self._proc.terminate()
-                    self._proc.join(timeout=5.0)
-                self._inbox.cancel_join_thread()
-                self._outbox.cancel_join_thread()
-                self._proc = None
-
-        await asyncio.to_thread(close)
+        await asyncio.to_thread(self._worker.close)
 
 
 EXECUTORS: dict[str, type] = {

@@ -1,4 +1,4 @@
-"""The spawn worker pool: ordering, crash requeue, timeouts.
+"""The spawn worker and its pool: ordering, crash requeue, timeouts.
 
 The job functions live at module top level so ``spawn`` workers can
 pickle them by reference; the ones that misbehave do so only on their
@@ -8,11 +8,14 @@ recovery has something to succeed at.
 
 import os
 import pathlib
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.campaign.pool import Task, WorkerPool
+from repro.campaign.pool import SpawnWorker, Task, WorkerPool
 from repro.errors import ConfigurationError, JobFailedError
 from repro.faults.recovery import RetryPolicy
 
@@ -45,6 +48,27 @@ def _raise(value):
     raise ValueError(f"deterministic failure for {value}")
 
 
+def _mark_then_sleep(marker, seconds):
+    pathlib.Path(marker).write_text("started")
+    time.sleep(seconds)
+
+
+def _start_nested_worker_then_sleep(marker, seconds):
+    nested = SpawnWorker(timeout_s=60.0)
+    partial = pathlib.Path(f"{marker}.partial")
+    partial.write_text(str(nested.run(os.getpid)))
+    partial.replace(marker)
+    time.sleep(seconds)
+
+
+def _alive(pid):
+    """True while *pid* runs; an exited orphan can stay a zombie until
+    init reaps it."""
+    state = subprocess.run(["ps", "-o", "stat=", "-p", str(pid)],
+                           capture_output=True, text=True).stdout.strip()
+    return bool(state) and not state.startswith("Z")
+
+
 class TestHappyPath:
     def test_results_in_task_order(self):
         pool = WorkerPool(workers=2)
@@ -60,6 +84,19 @@ class TestHappyPath:
         tasks = [Task(fn=_double, args=(i,)) for i in range(4)]
         pool.run(tasks, on_result=lambda i, v: seen.append((i, v)))
         assert sorted(seen) == [(0, 0), (1, 2), (2, 4), (3, 6)]
+
+    def test_more_workers_than_cores_run_each_task_once(self):
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = WorkerPool(workers=3, timeout_s=60.0)
+            tasks = [Task(fn=_double, args=(i,)) for i in range(40)]
+            values = pool.run(tasks, on_result=lambda i, v: seen.append(i))
+        finally:
+            sys.setswitchinterval(interval)
+        assert values == [2 * i for i in range(40)]
+        assert sorted(seen) == list(range(40))
 
     def test_single_worker(self):
         pool = WorkerPool(workers=1)
@@ -120,3 +157,98 @@ class TestValidation:
     def test_bad_timeout(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(workers=1, timeout_s=0)
+
+
+def _run_in_thread(worker, fn, args):
+    """Start ``worker.run(fn, args)`` on a thread; collect its failures."""
+    failures = []
+
+    def run():
+        try:
+            worker.run(fn, args)
+        except JobFailedError as exc:
+            failures.append(exc)
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    return runner, failures
+
+
+def _wait_for(path, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert path.exists()
+
+
+@pytest.fixture
+def worker():
+    worker = SpawnWorker(timeout_s=30.0)
+    yield worker
+    worker.close()
+
+
+class TestSpawnWorker:
+    def test_crash_respawns_on_a_new_pid(self, worker):
+        first = worker.run(os.getpid)
+        with pytest.raises(JobFailedError) as excinfo:
+            worker.run(os._exit, (13,))
+        assert excinfo.value.reason == "crash"
+        assert "exitcode 13" in str(excinfo.value)
+        assert worker.run(os.getpid) != first
+        assert worker.run(_double, (4,)) == 8
+
+    def test_hang_times_out_and_replaces_the_process(self, worker):
+        first = worker.run(os.getpid)
+        # Shorten the clock once the process is up: the first run's
+        # clock includes spawn and import time.
+        worker.timeout_s = 0.5
+        with pytest.raises(JobFailedError) as excinfo:
+            worker.run(time.sleep, (60,))
+        assert excinfo.value.reason == "timeout"
+        assert not _alive(first)
+        assert worker.pid not in (None, first)
+
+    def test_exception_keeps_the_process(self, worker):
+        first = worker.run(os.getpid)
+        with pytest.raises(JobFailedError) as excinfo:
+            worker.run(_raise, (5,))
+        assert excinfo.value.reason == "exception"
+        assert "deterministic failure for 5" in str(excinfo.value)
+        assert worker.run(os.getpid) == first
+
+    def test_abort_kills_the_job_and_respawns(self, worker, tmp_path):
+        first = worker.run(os.getpid)
+        marker = tmp_path / "started"
+        runner, failures = _run_in_thread(
+            worker, _mark_then_sleep, (str(marker), 60))
+        _wait_for(marker)
+        worker.abort()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive()
+        assert [exc.reason for exc in failures] == ["aborted"]
+        assert not _alive(first)
+        assert worker.run(os.getpid) != first
+
+    def test_abort_takes_a_jobs_own_workers_with_it(self, worker, tmp_path):
+        marker = tmp_path / "nested-pid"
+        runner, failures = _run_in_thread(
+            worker, _start_nested_worker_then_sleep, (str(marker), 60))
+        _wait_for(marker)
+        nested = int(marker.read_text())
+        worker.abort()
+        runner.join(timeout=10.0)
+        assert [exc.reason for exc in failures] == ["aborted"]
+        deadline = time.monotonic() + 10.0
+        while _alive(nested) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(nested)
+
+    def test_close_stops_the_process_for_good(self, worker):
+        pid = worker.run(os.getpid)
+        worker.close()
+        assert worker.pid is None
+        assert not _alive(pid)
+        with pytest.raises(JobFailedError) as excinfo:
+            worker.run(os.getpid)
+        assert excinfo.value.reason == "aborted"

@@ -289,5 +289,5 @@ class TestFixedTracePins:
             ("i", 2, "sse.notify", 1000000.0, None),
             ("X", 4, "transfer", 156250.0, 250000.0),
             ("X", 4, "stage", 281250.0, 62500.0),
-            ("X", 4, "hop", 281250.0, 0.0),
+            ("i", 4, "hop", 281250.0, None),
         ]

@@ -1,17 +1,17 @@
 """Admission policy and shard routing/executors."""
 
 import asyncio
+import multiprocessing
 import time
 
 import pytest
 
-from repro.errors import AdmissionError, ConfigurationError
+from repro.errors import AdmissionError, ConfigurationError, JobFailedError
 from repro.service.queue import AdmissionController
 from repro.service.shards import (
-    JobExecutionError,
     ShardRouter,
+    SpawnExecutor,
     ThreadExecutor,
-    WorkerCrashError,
     make_executor,
 )
 
@@ -100,19 +100,43 @@ class TestThreadExecutor:
         async def go():
             await ThreadExecutor().run(_boom, ())
 
-        with pytest.raises(JobExecutionError, match="deterministic bug"):
+        with pytest.raises(JobFailedError, match="deterministic bug") as excinfo:
             run_async(go())
+        assert excinfo.value.reason == "exception"
 
     def test_timeout_is_a_crash_and_returns_promptly(self):
         async def go():
             await ThreadExecutor(timeout_s=0.1).run(_slow, ())
 
         start = time.perf_counter()
-        with pytest.raises(WorkerCrashError) as excinfo:
+        with pytest.raises(JobFailedError) as excinfo:
             run_async(go())
         assert excinfo.value.reason == "timeout"
         # The 3s thread is abandoned, not waited out.
         assert time.perf_counter() - start < 2.0
+
+
+def _start_and_join_a_child():
+    child = multiprocessing.get_context("spawn").Process(
+        target=time.sleep, args=(0.0,))
+    child.start()
+    child.join()
+    return child.exitcode
+
+
+class TestSpawnExecutor:
+    def test_a_job_may_start_processes_of_its_own(self):
+        # Nested experiments (campaign, service) start spawn children;
+        # a daemonic worker may not.
+        executor = SpawnExecutor(timeout_s=60.0)
+
+        async def go():
+            try:
+                return await executor.run(_start_and_join_a_child, ())
+            finally:
+                await executor.aclose()
+
+        assert run_async(go()) == 0
 
 
 def test_make_executor_rejects_unknown_kind():
