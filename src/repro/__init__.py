@@ -11,21 +11,14 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.sim` — the discrete-event kernel everything runs on.
 """
 
-from repro.core import Scenario, Testbed, build_scenario
-from repro.core.testbed import default_testbed
-from repro.errors import ReproError
-from repro.harness import ExperimentConfig, ExperimentResult, run_experiment
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ReproError",
-    "Scenario",
-    "Testbed",
-    "build_scenario",
-    "default_testbed",
-    "run_experiment",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ["Scenario", "Testbed", "build_scenario"],
+    ".core.testbed": ["default_testbed"],
+    ".errors": ["ReproError"],
+    ".harness": ["ExperimentConfig", "ExperimentResult", "run_experiment"],
+})
+__all__.append("__version__")

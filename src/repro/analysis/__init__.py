@@ -9,14 +9,10 @@ deployment mode — a strong internal-consistency check, and a fast way
 to sweep parameters without running events.
 """
 
-from repro.analysis.model import (
-    StreamPrediction,
-    predict_rr_latency,
-    predict_stream_throughput,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StreamPrediction",
-    "predict_rr_latency",
-    "predict_stream_throughput",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".model": [
+        "StreamPrediction", "predict_rr_latency", "predict_stream_throughput",
+    ],
+})

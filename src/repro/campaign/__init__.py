@@ -34,44 +34,19 @@ CLI::
         --cache .cache --bench BENCH_campaign.json
 """
 
-from repro.campaign.bench import (
-    assert_no_regression,
-    build_report,
-    compare,
-    load_report,
-    write_report,
-)
-from repro.campaign.cache import (
-    CacheEntry,
-    ResultCache,
-    job_cache_key,
-    source_fingerprint,
-)
-from repro.campaign.pool import Task, WorkerPool
-from repro.campaign.runner import (
-    CampaignReport,
-    CampaignTrace,
-    JobOutcome,
-    run_campaign,
-)
-from repro.campaign.spec import CampaignSpec, JobSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheEntry",
-    "CampaignReport",
-    "CampaignSpec",
-    "CampaignTrace",
-    "JobOutcome",
-    "JobSpec",
-    "ResultCache",
-    "Task",
-    "WorkerPool",
-    "assert_no_regression",
-    "build_report",
-    "compare",
-    "job_cache_key",
-    "load_report",
-    "run_campaign",
-    "source_fingerprint",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bench": [
+        "assert_no_regression", "build_report", "compare", "load_report",
+        "write_report",
+    ],
+    ".cache": [
+        "CacheEntry", "ResultCache", "job_cache_key", "source_fingerprint",
+    ],
+    ".pool": ["Task", "WorkerPool"],
+    ".runner": [
+        "CampaignReport", "CampaignTrace", "JobOutcome", "run_campaign",
+    ],
+    ".spec": ["CampaignSpec", "JobSpec"],
+})

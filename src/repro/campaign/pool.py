@@ -20,7 +20,9 @@ Workers are non-daemonic, since a daemonic process may not start
 children and the ``campaign`` and ``service`` experiments do.  Every
 owner closes its workers, and an exit hook closes any left before
 ``multiprocessing`` joins its children; a worker whose parent dies
-exits too.  The ``spawn`` start method works on every platform and
+exits too.  Stopping a worker sends SIGTERM, which the worker turns
+into an orderly exit, so a job's own workers and queues are closed
+too; a worker still alive five seconds later is killed.  The ``spawn`` start method works on every platform and
 never inherits a forked copy of the parent's simulator state (job
 functions must be top-level so they pickle by reference).
 """
@@ -32,6 +34,7 @@ import multiprocessing
 import multiprocessing.util
 import os
 import queue as queue_mod
+import signal
 import threading
 import time
 import traceback
@@ -61,15 +64,31 @@ def worker_identity() -> dict[str, t.Any]:
     return {"pid": os.getpid()}
 
 
+class _Stopped(BaseException):
+    """SIGTERM in a worker: unwinds the job, so its ``finally`` blocks
+    and the exit hooks close the workers and queues it started."""
+
+
+def _raise_stopped(signum: int, frame: t.Any) -> None:
+    raise _Stopped
+
+
 def _worker_main(inbox: t.Any, outbox: t.Any) -> None:
-    """Worker loop: run each ``(fn, args)`` task from *inbox*."""
+    """Worker loop: run each ``(fn, args)`` task from *inbox* until
+    SIGTERM."""
+    signal.signal(signal.SIGTERM, _raise_stopped)
     threading.Thread(target=_exit_with_parent, daemon=True).start()
-    while True:
-        fn, args = inbox.get()
-        try:
-            outbox.put(("ok", fn(*args)))
-        except BaseException:
-            outbox.put(("error", traceback.format_exc()))
+    try:
+        while True:
+            fn, args = inbox.get()
+            try:
+                outbox.put(("ok", fn(*args)))
+            except _Stopped:
+                raise
+            except BaseException:
+                outbox.put(("error", traceback.format_exc()))
+    except _Stopped:
+        outbox.cancel_join_thread()  # nobody reads it any more
 
 
 def _exit_with_parent() -> None:
@@ -180,6 +199,9 @@ class SpawnWorker:
         _LIVE.discard(self)
         self._proc.terminate()
         self._proc.join(timeout=5.0)
+        if self._proc.is_alive():  # the job ignored SIGTERM
+            self._proc.kill()
+            self._proc.join()
         self._inbox.cancel_join_thread()
         self._outbox.cancel_join_thread()
         self._proc = None

@@ -13,15 +13,11 @@
   measured by the fig 8 experiment.
 """
 
-from repro.containers.container import Container
-from repro.containers.engine import ContainerEngine
-from repro.containers.image import IMAGES, ContainerImage
-from repro.containers.overlay import OverlayNetwork
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Container",
-    "ContainerEngine",
-    "ContainerImage",
-    "IMAGES",
-    "OverlayNetwork",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".container": ["Container"],
+    ".engine": ["ContainerEngine"],
+    ".image": ["IMAGES", "ContainerImage"],
+    ".overlay": ["OverlayNetwork"],
+})

@@ -19,7 +19,9 @@ nat_cross    two pods on two VMs over published ports (two NATs)
 ===========  ==================================================
 """
 
-from repro.core.scenario import MODES, Scenario, build_scenario
-from repro.core.testbed import Testbed
+from repro._lazy import lazy_exports
 
-__all__ = ["MODES", "Scenario", "Testbed", "build_scenario"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".scenario": ["MODES", "Scenario", "build_scenario"],
+    ".testbed": ["Testbed"],
+})

@@ -14,17 +14,12 @@ The per-user cost difference is the money Hostlo saves
 (:mod:`repro.costsim.simulation`, :mod:`repro.costsim.report`).
 """
 
-from repro.costsim.hostlo import improve_assignment
-from repro.costsim.kubernetes import schedule_user
-from repro.costsim.packing import BoughtVm
-from repro.costsim.report import SavingsReport
-from repro.costsim.simulation import UserOutcome, simulate_costs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoughtVm",
-    "SavingsReport",
-    "UserOutcome",
-    "improve_assignment",
-    "schedule_user",
-    "simulate_costs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".hostlo": ["improve_assignment"],
+    ".kubernetes": ["schedule_user"],
+    ".packing": ["BoughtVm"],
+    ".report": ["SavingsReport"],
+    ".simulation": ["UserOutcome", "simulate_costs"],
+})

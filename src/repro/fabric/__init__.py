@@ -15,30 +15,15 @@ capture provenance, flow accounting and fault injection all apply to
 fabric traffic unchanged.
 """
 
-from repro.fabric.costs import TopologyCostModel
-from repro.fabric.ecmp import ecmp_index, flow_signature
-from repro.fabric.flowsched import Repin, TrafficAwareFlowScheduler
-from repro.fabric.scheduler import TopologyAwareScheduler
-from repro.fabric.topology import (
-    DISTANCE_CROSS_POD,
-    DISTANCE_SAME_HOST,
-    DISTANCE_SAME_POD,
-    DISTANCE_SAME_RACK,
-    FabricSwitch,
-    FatTree,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DISTANCE_CROSS_POD",
-    "DISTANCE_SAME_HOST",
-    "DISTANCE_SAME_POD",
-    "DISTANCE_SAME_RACK",
-    "FabricSwitch",
-    "FatTree",
-    "Repin",
-    "TopologyAwareScheduler",
-    "TopologyCostModel",
-    "TrafficAwareFlowScheduler",
-    "ecmp_index",
-    "flow_signature",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".costs": ["TopologyCostModel"],
+    ".ecmp": ["ecmp_index", "flow_signature"],
+    ".flowsched": ["Repin", "TrafficAwareFlowScheduler"],
+    ".scheduler": ["TopologyAwareScheduler"],
+    ".topology": [
+        "DISTANCE_CROSS_POD", "DISTANCE_SAME_HOST", "DISTANCE_SAME_POD",
+        "DISTANCE_SAME_RACK", "FabricSwitch", "FatTree",
+    ],
+})

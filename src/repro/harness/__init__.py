@@ -34,13 +34,10 @@ Use :func:`run_experiment` (or ``python -m repro.harness``)::
     print(result.render())
 """
 
-from repro.harness.config import ExperimentConfig
-from repro.harness.registry import EXPERIMENTS, run_experiment
-from repro.harness.results import ExperimentResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ["ExperimentConfig"],
+    ".registry": ["EXPERIMENTS", "run_experiment"],
+    ".results": ["ExperimentResult"],
+})

@@ -16,34 +16,15 @@ a bug in any teardown path silently violates them.
   orchestrator's recovery machinery.
 """
 
-from repro.health.invariants import (
-    ALL_CHECKS,
-    HealthScope,
-    Violation,
-    check_bridge_consistency,
-    check_capture_conservation,
-    check_device_wiring,
-    check_fabric_consistency,
-    check_frame_conservation,
-    check_hostlo_liveness,
-    check_leaked_devices,
-    run_checks,
-    stalled_hostlo_queues,
-)
-from repro.health.monitor import HealthMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_CHECKS",
-    "HealthMonitor",
-    "HealthScope",
-    "Violation",
-    "check_bridge_consistency",
-    "check_capture_conservation",
-    "check_device_wiring",
-    "check_fabric_consistency",
-    "check_frame_conservation",
-    "check_hostlo_liveness",
-    "check_leaked_devices",
-    "run_checks",
-    "stalled_hostlo_queues",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".invariants": [
+        "ALL_CHECKS", "HealthScope", "Violation", "check_bridge_consistency",
+        "check_capture_conservation", "check_device_wiring",
+        "check_fabric_consistency", "check_frame_conservation",
+        "check_hostlo_liveness", "check_leaked_devices", "run_checks",
+        "stalled_hostlo_queues",
+    ],
+    ".monitor": ["HealthMonitor"],
+})

@@ -1,7 +1,9 @@
 """Measurement utilities: latency/throughput statistics and the
 usr/sys/soft/guest CPU breakdowns the paper's figures report."""
 
-from repro.metrics.cpu import CpuBreakdown, collect_breakdowns
-from repro.metrics.stats import SampleStats, Cdf
+from repro._lazy import lazy_exports
 
-__all__ = ["Cdf", "CpuBreakdown", "SampleStats", "collect_breakdowns"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cpu": ["CpuBreakdown", "collect_breakdowns"],
+    ".stats": ["Cdf", "SampleStats"],
+})

@@ -18,92 +18,30 @@ Two higher-level services tie it together:
 All stage costs live in :mod:`repro.net.costs`.
 """
 
-from repro.net.arq import ArqConfig, ArqReport, PathFaultModel, ReliableTransfer
-from repro.net.addresses import (
-    Ipv4Address,
-    Ipv4Network,
-    MacAddress,
-    MacAllocator,
-    SubnetAllocator,
-)
-from repro.net.bridge import Bridge
-from repro.net.capture import (
-    CaptureFilter,
-    CapturePoint,
-    CaptureSession,
-    Hop,
-)
-from repro.net.costs import CostModel, StageCost
-from repro.net.devices import (
-    DeviceQueue,
-    HostloEndpoint,
-    HostloTap,
-    Loopback,
-    NetDevice,
-    NsmHostStack,
-    NsmPort,
-    PhysicalNic,
-    TapDevice,
-    VethPair,
-    VirtioNic,
-    VxlanTunnel,
-)
-from repro.net.flows import FlowKey, FlowStats, FlowTable
-from repro.net.forwarding import Delivery, ForwardingEngine, Frame
-from repro.net.links import PhysicalLink, connect_hosts
-from repro.net.namespace import NetworkNamespace
-from repro.net.netfilter import DnatRule, ForwardDropRule, MasqueradeRule, Netfilter
-from repro.net.path import Datapath, PathStage, resolve_path
-from repro.net.routing import Route, RoutingTable
-from repro.net.transfer import StageTiming, TransferEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArqConfig",
-    "ArqReport",
-    "Bridge",
-    "CaptureFilter",
-    "CapturePoint",
-    "CaptureSession",
-    "CostModel",
-    "Datapath",
-    "Delivery",
-    "DeviceQueue",
-    "DnatRule",
-    "FlowKey",
-    "FlowStats",
-    "FlowTable",
-    "ForwardDropRule",
-    "ForwardingEngine",
-    "Frame",
-    "Hop",
-    "HostloEndpoint",
-    "HostloTap",
-    "Ipv4Address",
-    "Ipv4Network",
-    "Loopback",
-    "MacAddress",
-    "MacAllocator",
-    "MasqueradeRule",
-    "NetDevice",
-    "Netfilter",
-    "NetworkNamespace",
-    "NsmHostStack",
-    "NsmPort",
-    "PathFaultModel",
-    "PathStage",
-    "PhysicalLink",
-    "PhysicalNic",
-    "ReliableTransfer",
-    "Route",
-    "RoutingTable",
-    "StageCost",
-    "StageTiming",
-    "SubnetAllocator",
-    "TapDevice",
-    "TransferEngine",
-    "connect_hosts",
-    "VethPair",
-    "VirtioNic",
-    "VxlanTunnel",
-    "resolve_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".addresses": [
+        "Ipv4Address", "Ipv4Network", "MacAddress", "MacAllocator",
+        "SubnetAllocator",
+    ],
+    ".arq": ["ArqConfig", "ArqReport", "PathFaultModel", "ReliableTransfer"],
+    ".bridge": ["Bridge"],
+    ".capture": ["CaptureFilter", "CapturePoint", "CaptureSession", "Hop"],
+    ".costs": ["CostModel", "StageCost"],
+    ".devices": [
+        "DeviceQueue", "HostloEndpoint", "HostloTap", "Loopback", "NetDevice",
+        "NsmHostStack", "NsmPort", "PhysicalNic", "TapDevice", "VethPair",
+        "VirtioNic", "VxlanTunnel",
+    ],
+    ".flows": ["FlowKey", "FlowStats", "FlowTable"],
+    ".forwarding": ["Delivery", "ForwardingEngine", "Frame"],
+    ".links": ["PhysicalLink", "connect_hosts"],
+    ".namespace": ["NetworkNamespace"],
+    ".netfilter": [
+        "DnatRule", "ForwardDropRule", "MasqueradeRule", "Netfilter",
+    ],
+    ".path": ["Datapath", "PathStage", "resolve_path"],
+    ".routing": ["Route", "RoutingTable"],
+    ".transfer": ["StageTiming", "TransferEngine"],
+})

@@ -18,21 +18,13 @@ the pieces that thesis needs:
 * :class:`Orchestrator` — ties it all together: ``deploy_pod``.
 """
 
-from repro.orchestrator.agent import VmAgent
-from repro.orchestrator.cluster import Deployment, Orchestrator
-from repro.orchestrator.cni import CniPlugin
-from repro.orchestrator.node import Node
-from repro.orchestrator.pod import ContainerSpec, PodSpec
-from repro.orchestrator.scheduler import MostRequestedScheduler, Placement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CniPlugin",
-    "ContainerSpec",
-    "Deployment",
-    "MostRequestedScheduler",
-    "Node",
-    "Orchestrator",
-    "Placement",
-    "PodSpec",
-    "VmAgent",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".agent": ["VmAgent"],
+    ".cluster": ["Deployment", "Orchestrator"],
+    ".cni": ["CniPlugin"],
+    ".node": ["Node"],
+    ".pod": ["ContainerSpec", "PodSpec"],
+    ".scheduler": ["MostRequestedScheduler", "Placement"],
+})

@@ -29,38 +29,19 @@ Boot one with ``python -m repro.service --port 8700`` or embed it via
 :class:`~repro.service.thread.ServiceThread`.
 """
 
-from repro.errors import ServiceUnavailableError
-from repro.service.breaker import BreakerConfig, CircuitBreaker
-from repro.service.client import ServiceClient
-from repro.service.core import ServiceConfig, TraceService
-from repro.service.health import check_service
-from repro.service.http import HttpServer
-from repro.service.jobs import Job, JobEvent, job_key, run_payload
-from repro.service.journal import JobJournal, JournalConfig, ReplayState
-from repro.service.queue import AdmissionController
-from repro.service.shards import ShardRouter
-from repro.service.slo import SloConfig, SloTracker
-from repro.service.thread import ServiceThread
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "BreakerConfig",
-    "CircuitBreaker",
-    "HttpServer",
-    "Job",
-    "JobEvent",
-    "JobJournal",
-    "JournalConfig",
-    "ReplayState",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceThread",
-    "ServiceUnavailableError",
-    "ShardRouter",
-    "SloConfig",
-    "SloTracker",
-    "TraceService",
-    "check_service",
-    "job_key",
-    "run_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ["ServiceUnavailableError"],
+    ".breaker": ["BreakerConfig", "CircuitBreaker"],
+    ".client": ["ServiceClient"],
+    ".core": ["ServiceConfig", "TraceService"],
+    ".health": ["check_service"],
+    ".http": ["HttpServer"],
+    ".jobs": ["Job", "JobEvent", "job_key", "run_payload"],
+    ".journal": ["JobJournal", "JournalConfig", "ReplayState"],
+    ".queue": ["AdmissionController"],
+    ".shards": ["ShardRouter"],
+    ".slo": ["SloConfig", "SloTracker"],
+    ".thread": ["ServiceThread"],
+})

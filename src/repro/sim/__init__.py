@@ -18,20 +18,11 @@ The kernel is deliberately minimal but complete for this project:
 * :class:`RngRegistry` — named, reproducible ``numpy`` random streams.
 """
 
-from repro.sim.engine import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
-from repro.sim.resources import CpuResource, Store
-from repro.sim.rng import RngRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "CpuResource",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "RngRegistry",
-    "Store",
-    "Timeout",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ["Environment"],
+    ".events": ["AllOf", "AnyOf", "Event", "Interrupt", "Process", "Timeout"],
+    ".resources": ["CpuResource", "Store"],
+    ".rng": ["RngRegistry"],
+})

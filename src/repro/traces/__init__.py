@@ -10,30 +10,13 @@
   the largest machine.
 """
 
-from repro.traces.aws import M5_CATALOG, VmModel, cheapest_fitting
-from repro.traces.google import (
-    BoundedWindow,
-    TraceConfig,
-    TraceContainer,
-    TracePod,
-    TraceUser,
-    generate_trace,
-    iter_pods,
-    iter_users,
-    stream_statistics,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundedWindow",
-    "M5_CATALOG",
-    "TraceConfig",
-    "TraceContainer",
-    "TracePod",
-    "TraceUser",
-    "VmModel",
-    "cheapest_fitting",
-    "generate_trace",
-    "iter_pods",
-    "iter_users",
-    "stream_statistics",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".aws": ["M5_CATALOG", "VmModel", "cheapest_fitting"],
+    ".google": [
+        "BoundedWindow", "TraceConfig", "TraceContainer", "TracePod",
+        "TraceUser", "generate_trace", "iter_pods", "iter_users",
+        "stream_statistics",
+    ],
+})

@@ -15,16 +15,11 @@ Mirrors the paper's QEMU/KVM testbed:
   experiment).
 """
 
-from repro.virt.host import PhysicalHost
-from repro.virt.qmp import QmpChannel, QmpCommand
-from repro.virt.vm import VirtualMachine
-from repro.virt.vmm import HostloHandle, Vmm
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HostloHandle",
-    "PhysicalHost",
-    "QmpChannel",
-    "QmpCommand",
-    "VirtualMachine",
-    "Vmm",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".host": ["PhysicalHost"],
+    ".qmp": ["QmpChannel", "QmpCommand"],
+    ".vm": ["VirtualMachine"],
+    ".vmm": ["HostloHandle", "Vmm"],
+})

@@ -14,24 +14,14 @@ Implements the paper's load generators over the simulated datapaths:
   120 000 msg/s of 100 B messages, 8192 B batches).
 """
 
-from repro.workloads.base import WorkloadResult
-from repro.workloads.kafka import KafkaProducerPerf
-from repro.workloads.memcached import MemtierBenchmark
-from repro.workloads.netperf import (
-    NetperfTcpCRR,
-    NetperfTcpRR,
-    NetperfTcpStream,
-    NetperfUdpRR,
-)
-from repro.workloads.nginx import Wrk2Benchmark
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KafkaProducerPerf",
-    "MemtierBenchmark",
-    "NetperfTcpCRR",
-    "NetperfTcpRR",
-    "NetperfTcpStream",
-    "NetperfUdpRR",
-    "WorkloadResult",
-    "Wrk2Benchmark",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ["WorkloadResult"],
+    ".kafka": ["KafkaProducerPerf"],
+    ".memcached": ["MemtierBenchmark"],
+    ".netperf": [
+        "NetperfTcpCRR", "NetperfTcpRR", "NetperfTcpStream", "NetperfUdpRR",
+    ],
+    ".nginx": ["Wrk2Benchmark"],
+})

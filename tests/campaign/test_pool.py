@@ -181,6 +181,36 @@ def _wait_for(path, timeout_s=30.0):
     assert path.exists()
 
 
+# Abort a ``campaign`` experiment job once its own pool's workers run.
+_ABORT_NESTED_CAMPAIGN = """
+import os, subprocess, threading, time
+from repro.campaign.pool import SpawnWorker
+from repro.errors import JobFailedError
+from repro.service.jobs import run_payload
+
+worker = SpawnWorker(timeout_s=120.0)
+pid = worker.run(os.getpid)
+
+def abort_once_nested_workers_run():
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        children = subprocess.run(["ps", "-o", "pid=", "--ppid", str(pid)],
+                                  capture_output=True, text=True).stdout
+        if len(children.split()) >= 2:
+            break
+        time.sleep(0.02)
+    worker.abort()
+
+threading.Thread(target=abort_once_nested_workers_run).start()
+try:
+    worker.run(run_payload, ("experiment", {"experiment": "campaign",
+                                            "preset": "quick"}, None))
+except JobFailedError as exc:
+    print(exc.reason)
+worker.close()
+"""
+
+
 @pytest.fixture
 def worker():
     worker = SpawnWorker(timeout_s=30.0)
@@ -243,6 +273,17 @@ class TestSpawnWorker:
         while _alive(nested) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not _alive(nested)
+
+    def test_abort_of_a_nested_campaign_leaks_no_semaphore(self):
+        # The resource tracker reports leaks when the parent exits, so
+        # the abort runs in a process of its own.
+        done = subprocess.run(
+            [sys.executable, "-c", _ABORT_NESTED_CAMPAIGN],
+            capture_output=True, text=True, timeout=180.0,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["aborted"], done.stderr
+        assert "leaked semaphore" not in done.stderr, done.stderr
 
     def test_close_stops_the_process_for_good(self, worker):
         pid = worker.run(os.getpid)
