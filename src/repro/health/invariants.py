@@ -14,9 +14,9 @@ fault the watchdog is expected to handle, surfaced separately through
 
 from __future__ import annotations
 
-import dataclasses
 import typing as t
 
+from repro.health.violation import Violation
 from repro.net.bridge import Bridge
 from repro.net.devices import HostloEndpoint, HostloTap, TapDevice
 from repro.net.namespace import NetworkNamespace
@@ -28,18 +28,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
     from repro.orchestrator.cluster import Orchestrator
     from repro.virt.host import PhysicalHost
     from repro.virt.vmm import Vmm
-
-
-@dataclasses.dataclass(frozen=True)
-class Violation:
-    """One broken invariant: which check, on what, and why."""
-
-    check: str
-    subject: str
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - debug convenience
-        return f"[{self.check}] {self.subject}: {self.detail}"
 
 
 class HealthScope:

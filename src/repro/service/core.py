@@ -162,16 +162,12 @@ class ServiceConfig:
     retry_after_s: float = 0.5
     #: Write-ahead journal directory; ``None`` disables durability.
     journal_dir: str | pathlib.Path | None = None
-    #: Journal fsync policy: ``always`` / ``batch`` / ``never``.
-    journal_fsync: str = "batch"
-    #: Compact the journal once a segment holds this many records.
-    journal_rotate_records: int = 4096
+    #: Journal fsync policy and compaction threshold.
+    journal: JournalConfig = dataclasses.field(default_factory=JournalConfig)
     #: How long ``aclose(drain=True)`` waits for in-flight jobs.
     drain_timeout_s: float = 30.0
-    #: Consecutive worker crashes/timeouts that trip a shard breaker.
-    breaker_failures: int = 3
-    #: Seconds a tripped breaker cools before its half-open probe.
-    breaker_cooldown_s: float = 5.0
+    #: Shard circuit-breaker trip threshold and cooldown.
+    breaker: BreakerConfig = dataclasses.field(default_factory=BreakerConfig)
     #: SLO objectives and burn-rate alert windows (``service.slo``).
     slo: SloConfig = dataclasses.field(default_factory=SloConfig)
     #: Distinct distributed traces held for ``GET /jobs/<id>/trace``.
@@ -184,20 +180,6 @@ class ServiceConfig:
             raise ConfigurationError("drain_timeout_s must be positive")
         if self.trace_keep < 1:
             raise ConfigurationError("trace_keep must be >= 1")
-        # Validate eagerly so a bad config dies at construction, not
-        # at first journal append / breaker trip.
-        JournalConfig(fsync=self.journal_fsync,
-                      rotate_records=self.journal_rotate_records)
-        BreakerConfig(failure_threshold=self.breaker_failures,
-                      cooldown_s=self.breaker_cooldown_s)
-
-    def journal_config(self) -> JournalConfig:
-        return JournalConfig(fsync=self.journal_fsync,
-                             rotate_records=self.journal_rotate_records)
-
-    def breaker_config(self) -> BreakerConfig:
-        return BreakerConfig(failure_threshold=self.breaker_failures,
-                             cooldown_s=self.breaker_cooldown_s)
 
 
 class TraceService:
@@ -246,8 +228,6 @@ class TraceService:
             "service_queue_depth", "Queued jobs right now")
         self._running = self.metrics.gauge(
             "service_jobs_running", "Jobs executing right now")
-        self._wall = self.metrics.histogram(
-            "service_job_wall_s", help="Fresh job execution seconds")
         self._admission_latency = self.metrics.histogram(
             "service_admission_latency_s", buckets=LATENCY_BUCKETS,
             help="Submit entry to enqueue seconds")
@@ -272,7 +252,6 @@ class TraceService:
         self._queues: list[asyncio.PriorityQueue] = []
         self._executors: list[t.Any] = []
         self._loops: list[asyncio.Task] = []
-        self._cancel_events: dict[str, asyncio.Event] = {}
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
         self._next_id = 0
         self._enqueue_seq = 0
@@ -281,7 +260,7 @@ class TraceService:
         self._ewma_wall_s = 0.0
         self.breakers: list[CircuitBreaker] = []
         self.journal: JobJournal | None = (
-            JobJournal(self.config.journal_dir, self.config.journal_config())
+            JobJournal(self.config.journal_dir, self.config.journal)
             if self.config.journal_dir is not None else None
         )
         #: What the last :meth:`start` recovered (``None`` before it).
@@ -298,7 +277,7 @@ class TraceService:
                 self.config.executor, timeout_s=self.config.job_timeout_s,
             ))
             self.breakers.append(CircuitBreaker(
-                self.config.breaker_config(), name=f"shard-{shard}",
+                self.config.breaker, name=f"shard-{shard}",
                 on_transition=self._make_breaker_observer(shard),
             ))
             self._loops.append(asyncio.create_task(
@@ -389,15 +368,15 @@ class TraceService:
         """Stop the service.
 
         ``drain=False`` (the default) is the abrupt path the tests and
-        embedders use: shard loops are cancelled, the in-flight job
-        (if any) is marked cancelled, queued jobs stay queued — on a
-        journaled service they replay at the next boot, exactly like a
-        crash.  ``drain=True`` is the operational path: admission
-        flips to 503 + Retry-After immediately, in-flight and queued
-        jobs run to completion (up to *drain_timeout_s*, default
-        :attr:`ServiceConfig.drain_timeout_s`), and — when everything
-        landed — the journal gets its clean-shutdown marker so the
-        next boot skips replay.
+        embedders use: shard loops are cancelled, and running and
+        queued jobs keep their state — on a journaled service they
+        replay at the next boot, exactly like a crash.  A running job
+        already asked to cancel ends cancelled instead.  ``drain=True``
+        is the operational path: admission flips to 503 + Retry-After
+        immediately, in-flight and queued jobs run to completion (up to
+        *drain_timeout_s*, default :attr:`ServiceConfig.drain_timeout_s`),
+        and — when everything landed — the journal gets its
+        clean-shutdown marker so the next boot skips replay.
         """
         if drain and not self._closed:
             self._draining = True
@@ -550,7 +529,6 @@ class TraceService:
         self._register(job)
         self._journal(journal_mod.ACCEPTED, **job.envelope())
         self._submitted.inc(kind=kind)
-        self._cancel_events[job.id] = asyncio.Event()
         self._enqueue_seq += 1
         self._queues[job.shard].put_nowait(
             (-job.priority, self._enqueue_seq, job.id)
@@ -718,11 +696,9 @@ class TraceService:
             self._complete(job, CANCELLED)
             self._depth.add(-1.0)
             return job
-        # Running: flag it and kill the in-flight execution; the shard
+        # Running: flag it and abort the in-flight execution; the shard
         # loop owns the terminal transition.
-        event = self._cancel_events.get(job.id)
-        if event is not None:
-            event.set()
+        job.cancel_requested = True
         await self._executors[job.shard].abort()
         return job
 
@@ -817,7 +793,6 @@ class TraceService:
             t_notify = time.time()
             self._span(job, "sse.notify", t_notify, t_notify,
                        subscribers=len(self._subscribers.get(job.id, ())))
-        self._cancel_events.pop(job.id, None)
 
     async def _breaker_gate(self, breaker: CircuitBreaker) -> None:
         """Park the shard loop until its breaker admits a dispatch —
@@ -845,12 +820,6 @@ class TraceService:
                 # hand it back or the gate never opens again.
                 breaker.release_probe()
                 continue
-            cancel = self._cancel_events.get(job.id)
-            if cancel is None:
-                # Defensive: a terminal transition raced the dequeue;
-                # _complete already popped the event.
-                breaker.release_probe()
-                continue
             self._maybe_crash(shard)
             self._depth.add(-1.0)
             job.state = RUNNING
@@ -867,7 +836,7 @@ class TraceService:
                           attempt=job.attempts + 1, shard=shard)
             self._emit(job, "started", {"shard": shard})
             try:
-                await self._run_with_retry(job, executor, cancel, breaker)
+                await self._run_with_retry(job, executor, breaker)
             finally:
                 self._running.add(-1.0)
 
@@ -882,7 +851,6 @@ class TraceService:
             _crash_process()
 
     async def _run_with_retry(self, job: Job, executor: t.Any,
-                              cancel: asyncio.Event,
                               breaker: CircuitBreaker) -> None:
         retry = self.config.retry
         capture_sim = self.config.executor == "spawn"
@@ -896,49 +864,17 @@ class TraceService:
                 "capture_sim": capture_sim,
                 "sampling": _worker_sampling() if capture_sim else None,
             }
-            run = asyncio.ensure_future(
-                executor.run(run_payload,
-                             (job.kind, job.payload, trace_arg))
-            )
-            stop = asyncio.ensure_future(cancel.wait())
-            try:
-                await asyncio.wait({run, stop},
-                                   return_when=asyncio.FIRST_COMPLETED)
-            except asyncio.CancelledError:
-                # Service shutdown with this job still in flight: tidy
-                # the helper tasks (one loop turn to let their
-                # cancellations land), then let the shard loop die.
-                stop.cancel()
-                run.cancel()
-                await asyncio.wait({run, stop}, timeout=1.0)
-                raise
-            if not run.done():
-                # Cancelled mid-flight.  The executor was already told
-                # to abort (see cancel()); abandon the awaitable — a
-                # spawn worker is already dead, a thread finishes into
-                # the void and its result is discarded either way.
-                run.cancel()
-                try:
-                    await run
-                except asyncio.CancelledError:
-                    # Two cancellations look identical here: the one we
-                    # just injected into ``run``, and the shard loop
-                    # *itself* being cancelled by aclose().  Swallowing
-                    # the latter would leave a zombie loop that aclose
-                    # awaits forever, so re-raise when it is ours.
-                    current = asyncio.current_task()
-                    if current is not None and current.cancelling():
-                        self._complete(job, CANCELLED)
-                        raise
-                except Exception:
-                    pass
-                self._complete(job, CANCELLED)
-                stop.cancel()
-                return
-            stop.cancel()
             shard_row = f"shard-{job.shard}"
             try:
-                payload = run.result()
+                payload = await executor.run(
+                    run_payload, (job.kind, job.payload, trace_arg))
+            except asyncio.CancelledError:
+                # Service shutdown with this job in flight: it stays
+                # running and replays, unless a cancel already asked
+                # for it to go.
+                if job.cancel_requested:
+                    self._complete(job, CANCELLED)
+                raise
             except JobFailedError as exc:
                 if exc.reason == "aborted":
                     self._complete(job, CANCELLED)
@@ -960,7 +896,7 @@ class TraceService:
                            span_id=worker_span, worker=shard_row,
                            outcome=exc.reason, attempt=job.attempts,
                            retry=job.attempts - 1, shard=job.shard)
-                if cancel.is_set():
+                if job.cancel_requested:
                     self._complete(job, CANCELLED)
                     return
                 if job.attempts < retry.max_attempts:
@@ -974,6 +910,12 @@ class TraceService:
                     await self._breaker_gate(breaker)
                     self._span(job, "retry.wait", t_crash, time.time(),
                                worker=shard_row, attempt=job.attempts)
+                    if job.cancel_requested:
+                        # Cancelled while the retry waited: hand back
+                        # the probe slot the gate may have granted.
+                        breaker.release_probe()
+                        self._complete(job, CANCELLED)
+                        return
                     continue
                 self._complete(
                     job, FAILED,
@@ -981,7 +923,7 @@ class TraceService:
                 )
                 return
             breaker.record_success()
-            if cancel.is_set():
+            if job.cancel_requested:
                 # Completion raced the cancel; cancel wins — the
                 # client was already told the job was going away.
                 self._complete(job, CANCELLED)
@@ -1004,7 +946,6 @@ class TraceService:
             self._worker_wall.observe(
                 payload["wall_s"], **self._metric_labels(job))
             job.result = payload
-            self._wall.observe(payload["wall_s"])
             self._note_wall(payload["wall_s"])
             self._store(job)
             self._complete(job, DONE)

@@ -60,6 +60,7 @@ from repro.errors import (
 )
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import ExperimentResult
+from repro.service.breaker import BreakerConfig
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig, TraceService
 from repro.service.thread import ServiceThread
@@ -554,7 +555,7 @@ def _breaker_lane(root: str) -> dict[str, t.Any]:
     """A worker hard-exit trips the breaker; the probe re-closes it."""
     service_config = ServiceConfig(
         shards=1, executor="spawn", job_timeout_s=120.0,
-        breaker_failures=1, breaker_cooldown_s=0.5,
+        breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.5),
     )
     marker = os.path.join(root, "breaker-crash-once")
     with ServiceThread(service_config) as live:

@@ -1,7 +1,7 @@
 """Service health: standing invariants behind ``GET /healthz``.
 
 The same move :mod:`repro.health.invariants` makes for the network —
-pure check functions returning :class:`~repro.health.invariants.
+pure check functions returning :class:`~repro.health.violation.
 Violation` records — applied to the service's own accounting.  Checks
 never mutate; the HTTP layer turns a non-empty list into a 503.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.health.invariants import Violation
+from repro.health import Violation
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, TERMINAL
 

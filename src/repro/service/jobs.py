@@ -315,6 +315,8 @@ class Job:
     finished_at: float | None = None
     events: list[JobEvent] = dataclasses.field(default_factory=list)
     completions: int = 0  # exactly-once guard: must never exceed 1
+    #: Set by ``TraceService.cancel``; a running job then ends cancelled.
+    cancel_requested: bool = False
     #: Distributed trace identity; journaled so recovery re-admits the
     #: job under its original trace.
     trace_id: str = ""

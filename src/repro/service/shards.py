@@ -15,14 +15,18 @@ with :class:`~repro.errors.JobFailedError` (``reason`` ``"crash"``,
 ``"timeout"``, ``"exception"`` or ``"aborted"``):
 
 * :class:`ThreadExecutor` — runs jobs on the default thread pool.
-  Fast to start, shares the interpreter; a cancelled job is
-  *abandoned* (its thread finishes into the void) because threads
+  Fast to start, shares the interpreter; an aborted or timed-out job
+  is *abandoned* (its thread finishes into the void) because threads
   cannot be killed.  The default for tests and in-process embedding.
 * :class:`SpawnExecutor` — one campaign
   :class:`~repro.campaign.pool.SpawnWorker` per shard: a persistent,
   non-daemonic ``spawn`` process.  A crash or a timeout replaces the
   process so the shard loop can requeue under the :mod:`repro.faults`
-  retry policy, and cancel is real: terminate + respawn.
+  retry policy, and an abort is real: terminate + respawn.
+
+Both end an aborted job the same way: ``abort()`` makes the in-flight
+``run()`` raise ``JobFailedError(reason="aborted")``, which is the only
+way the service stops a running job.
 
 Executor methods are called only from the service's event loop; the
 blocking pieces run via ``asyncio.to_thread``.
@@ -52,12 +56,14 @@ class ShardRouter:
 
 
 class ThreadExecutor:
-    """Run jobs on the event loop's thread pool; cancel by abandonment."""
+    """Run jobs on the event loop's thread pool; abort by abandonment."""
 
     kind = "thread"
 
     def __init__(self, *, timeout_s: float = 300.0) -> None:
         self.timeout_s = float(timeout_s)
+        #: Resolved by :meth:`abort` to end the in-flight :meth:`run`.
+        self._aborted: asyncio.Future | None = None
 
     async def run(self, fn: t.Callable[..., t.Any],
                   args: tuple[t.Any, ...]) -> t.Any:
@@ -69,19 +75,26 @@ class ThreadExecutor:
 
         # Not wait_for(): cancelling wait_for() around a *running*
         # thread blocks until the thread finishes, which would make
-        # cancel-while-running wait out the whole job.  asyncio.wait
-        # never cancels its children, so a cancelled run() (or a
-        # timeout) abandons the thread and returns immediately.
+        # abort-while-running wait out the whole job.  asyncio.wait
+        # never cancels its children, so a cancelled run(), an abort or
+        # a timeout abandons the thread and returns immediately.
         task = asyncio.ensure_future(asyncio.to_thread(call))
+        aborted = self._aborted = asyncio.get_running_loop().create_future()
         try:
             done, _pending = await asyncio.wait(
-                {task}, timeout=self.timeout_s
+                {task, aborted}, timeout=self.timeout_s,
+                return_when=asyncio.FIRST_COMPLETED,
             )
         except asyncio.CancelledError:
             self._abandon(task)
             raise
-        if not done:
+        finally:
+            self._aborted = None
+        if task not in done:
             self._abandon(task)
+            if aborted in done:
+                raise JobFailedError("job aborted: thread abandoned",
+                                     reason="aborted")
             raise JobFailedError(
                 f"job exceeded {self.timeout_s}s on the thread executor",
                 reason="timeout",
@@ -110,8 +123,10 @@ class ThreadExecutor:
         return os.getpid()
 
     async def abort(self) -> None:
-        """Nothing to kill: the thread finishes into the void and the
-        shard loop discards whatever it returns."""
+        """End the in-flight :meth:`run` with ``"aborted"``; its thread
+        finishes into the void and what it returns is discarded."""
+        if self._aborted is not None and not self._aborted.done():
+            self._aborted.set_result(None)
 
     async def aclose(self) -> None:
         pass

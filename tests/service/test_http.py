@@ -16,6 +16,7 @@ from repro.errors import (
 )
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
+from repro.service.journal import JournalConfig
 from repro.service.thread import ServiceThread
 
 
@@ -339,7 +340,8 @@ async def _start_drain(svc):
 class TestDrainOverHttp:
     def test_503_with_retry_after_while_draining(self, tmp_path):
         config = thread_config(journal_dir=tmp_path / "journal",
-                               journal_fsync="never", retry_after_s=0.25)
+                               journal=JournalConfig(fsync="never"),
+                               retry_after_s=0.25)
         with ServiceThread(config) as live:
             client = ServiceClient(port=live.port)
             doc = client.submit("sleep", {"duration_s": 2.0, "label": "d"})

@@ -115,6 +115,21 @@ class TestThreadExecutor:
         # The 3s thread is abandoned, not waited out.
         assert time.perf_counter() - start < 2.0
 
+    def test_abort_ends_the_running_job(self):
+        executor = ThreadExecutor()
+
+        async def go():
+            run = asyncio.ensure_future(executor.run(_slow, ()))
+            await asyncio.sleep(0.05)  # the thread is inside _slow
+            await executor.abort()
+            await run
+
+        start = time.perf_counter()
+        with pytest.raises(JobFailedError) as excinfo:
+            run_async(go())
+        assert excinfo.value.reason == "aborted"
+        assert time.perf_counter() - start < 1.0
+
 
 def _start_and_join_a_child():
     child = multiprocessing.get_context("spawn").Process(

@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.service import journal as journal_mod
+from repro.service.breaker import BreakerConfig
 from repro.service.core import ServiceConfig, TraceService
 from repro.service.core import _crash_process  # noqa: F401 - patched
 from repro.service.health import check_service
@@ -24,7 +25,8 @@ from tests.service.test_service import run_async, started, wait_terminal
 def durable_service(tmp_path, **overrides) -> TraceService:
     config = ServiceConfig(**{
         "shards": 1, "executor": "thread",
-        "journal_dir": tmp_path / "journal", "journal_fsync": "never",
+        "journal_dir": tmp_path / "journal",
+        "journal": JournalConfig(fsync="never"),
         **overrides,
     })
     return TraceService(config)
@@ -38,7 +40,7 @@ class TestCrashRecovery:
         async def crash():
             service = durable_service(tmp_path)
             await service.start()
-            hold = service.submit("sleep", {"duration_s": 30.0,
+            hold = service.submit("sleep", {"duration_s": 2.0,
                                             "label": "hold"})
             queued = [
                 service.submit("sleep", {"duration_s": 0.0,
@@ -48,6 +50,7 @@ class TestCrashRecovery:
             ]
             await started(service, hold)
             await service.aclose()  # no drain: crash-like
+            assert hold.state == "running"
             return [job.key for job in [hold, *queued]]
 
         async def reboot(keys):
@@ -68,6 +71,34 @@ class TestCrashRecovery:
 
         keys = run_async(crash())
         run_async(reboot(keys))
+
+    @pytest.mark.parametrize("executor", ["thread", "spawn"])
+    def test_cancel_then_abrupt_close_does_not_replay(self, tmp_path,
+                                                      executor):
+        """A running job cancelled just before an abrupt aclose() ends
+        cancelled, so the next boot has nothing to replay."""
+        async def crash():
+            service = durable_service(tmp_path, executor=executor,
+                                      job_timeout_s=120.0)
+            await service.start()
+            job = service.submit("sleep", {"duration_s": 30.0,
+                                           "label": "doomed"})
+            await started(service, job)
+            await service.cancel(job.id)
+            await service.aclose()
+            assert job.state == "cancelled" and job.completions == 1
+
+        async def reboot():
+            service = durable_service(tmp_path)
+            await service.start()
+            try:
+                assert service.last_recovery.live == {}
+                assert service.jobs() == ()
+            finally:
+                await service.aclose()
+
+        run_async(crash())
+        run_async(reboot())
 
     def test_recovered_job_keeps_client_and_priority(self, tmp_path):
         async def crash():
@@ -343,7 +374,7 @@ class TestBreakerIntegration:
         async def go():
             service = TraceService(ServiceConfig(
                 shards=1, executor="spawn", job_timeout_s=120.0,
-                breaker_failures=1, breaker_cooldown_s=0.4,
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.4),
             ))
             await service.start()
             breaker = service.breakers[0]
@@ -381,7 +412,8 @@ class TestCancelAtOpenBreaker:
         back, and keeps serving."""
         async def go():
             service = durable_service(
-                tmp_path, breaker_failures=1, breaker_cooldown_s=0.3)
+                tmp_path,
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.3))
             await service.start()
             breaker = service.breakers[0]
             try:
@@ -409,6 +441,45 @@ class TestCancelAtOpenBreaker:
 
         run_async(go())
 
+
+    def test_cancel_during_retry_wait_dispatches_no_attempt(self,
+                                                            tmp_path):
+        """A crash trips the breaker and parks the retry at its gate; a
+        cancel there ends the job without a second attempt and hands
+        the half-open probe slot back, so the shard keeps serving."""
+        marker = tmp_path / "crash-once"
+
+        async def go():
+            service = TraceService(ServiceConfig(
+                shards=1, executor="spawn", job_timeout_s=120.0,
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.4),
+            ))
+            await service.start()
+            breaker = service.breakers[0]
+            try:
+                job = service.submit("sleep", {
+                    "duration_s": 0.0, "label": "crashy",
+                    "crash_unless": str(marker),
+                })
+                async with asyncio.timeout(60.0):
+                    while "requeued" not in [e.event for e in job.events]:
+                        await asyncio.sleep(0.005)
+                assert breaker.state == "open"
+                await service.cancel(job.id)
+                await wait_terminal(service, job, timeout_s=10.0)
+                assert job.state == "cancelled" and job.completions == 1
+                assert job.attempts == 1
+                assert not breaker.probe_in_flight
+                after = service.submit("sleep", {"label": "after"},
+                                       client="other")
+                await wait_terminal(service, after, timeout_s=60.0)
+                assert after.state == "done"
+                assert breaker.state == "closed"
+                assert check_service(service) == []
+            finally:
+                await service.aclose()
+
+        run_async(go())
 
 class TestCrashFault:
     def test_service_crash_fault_fires_at_dispatch(self, tmp_path,

@@ -236,6 +236,35 @@ class TestCancel:
 
         run_async(go())
 
+    def test_cancel_while_running_on_spawn_replaces_the_worker(self):
+        async def go():
+            service = TraceService(ServiceConfig(
+                shards=1, executor="spawn", job_timeout_s=120.0))
+            await service.start()
+            executor = service._executors[0]
+            try:
+                job = service.submit("sleep", {"duration_s": 30.0,
+                                               "label": "doomed"})
+                await started(service, job)
+                async with asyncio.timeout(30.0):
+                    while (pid := executor.worker_pid()) is None:
+                        await asyncio.sleep(0.01)
+                t0 = time.perf_counter()
+                await service.cancel(job.id)
+                await wait_terminal(service, job, timeout_s=5.0)
+                assert time.perf_counter() - t0 < 5.0
+                assert job.state == CANCELLED
+                assert job.completions == 1
+                assert executor.worker_pid() not in (None, pid)
+                after = service.submit("sleep", {"label": "after"})
+                await wait_terminal(service, after, timeout_s=60.0)
+                assert after.state == DONE
+                assert check_service(service) == []
+            finally:
+                await service.aclose()
+
+        run_async(go())
+
     def test_cancel_terminal_job_is_a_noop(self):
         async def go():
             service = thread_service()

@@ -49,6 +49,8 @@ def test_server_and_worker_boot_without_experiments(module):
     assert module in loaded
     assert "repro.harness.registry" not in loaded
     assert "numpy" not in loaded
+    assert not [m for m in loaded
+                if m == "repro.net" or m.startswith("repro.net.")]
 
 
 @pytest.mark.parametrize("package", PACKAGES)
