@@ -18,6 +18,7 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.pcap import write_pcapng
+from repro.obs.trace import DEFAULT_TRACE_SAMPLING
 from repro.harness import (
     ablations,
     analytic,
@@ -133,22 +134,6 @@ def run_experiment(
             f"unknown experiment {experiment!r} (have: {sorted(EXPERIMENTS)})"
         ) from None
     return runner(config)
-
-
-#: Sampling applied by ``--trace`` unless overridden.  A full-rate
-#: fig04 run records hundreds of thousands of datapath spans (tens of
-#: messages per point, a dozen stages each) — far past what Perfetto
-#: renders comfortably — so the hot categories are thinned
-#: deterministically; everything else (hot-plugs, scheduler decisions,
-#: CNI attaches) is rare and kept at full rate.  Pass ``sampling={}``
-#: to :func:`run_experiment_traced` for a complete trace.
-DEFAULT_TRACE_SAMPLING: dict[str, float] = {
-    "sim.step": 0.002,
-    "datapath.transfer": 0.02,
-    "datapath.stage": 0.02,
-    "forward.send": 0.05,
-    "forward.hop": 0.01,
-}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -32,6 +32,23 @@ import time
 import typing as t
 from itertools import count
 
+#: Sampling applied by ``--trace`` unless overridden.  A full-rate
+#: fig04 run records hundreds of thousands of datapath spans (tens of
+#: messages per point, a dozen stages each) — far past what Perfetto
+#: renders comfortably — so the hot categories are thinned
+#: deterministically; everything else (hot-plugs, scheduler decisions,
+#: CNI attaches) is rare and kept at full rate.  Pass ``sampling={}``
+#: to :func:`repro.harness.registry.run_experiment_traced` for a
+#: complete trace.  It lives here, not in the registry, so the service
+#: can hand it to its spawn workers without importing every experiment.
+DEFAULT_TRACE_SAMPLING: dict[str, float] = {
+    "sim.step": 0.002,
+    "datapath.transfer": 0.02,
+    "datapath.stage": 0.02,
+    "forward.send": 0.05,
+    "forward.hop": 0.01,
+}
+
 
 class Span:
     """One timed section: category, name, sim-clock interval, attrs.

@@ -5,6 +5,15 @@ load-generator threads, and interactive sessions without any third-
 party HTTP stack.  One method per route; SSE streaming is a generator
 of parsed ``(event, data)`` pairs.
 
+Connections are persistent, one per calling thread: every JSON route
+reuses the thread's connection until the server closes it, so a
+client shared by several threads never interleaves two requests on
+one socket.  A reused connection that fails before any byte of the
+response arrives (the server closed it while it sat idle) is replaced
+once and the request sent again; a replayed ``POST /jobs`` is safe
+because submission dedupes by job key.  An SSE stream takes its own
+connection, which the server closes at the job's terminal event.
+
 429 responses raise the same :class:`~repro.errors.AdmissionError`
 the server raised, and 503 from job routes (a draining instance)
 raises :class:`~repro.errors.ServiceUnavailableError`, both with
@@ -32,6 +41,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 import typing as t
 
@@ -64,53 +74,112 @@ class ServiceClient:
         self._rng = random.Random()
         #: ``X-Trace-Id`` from the most recent response (any route).
         self.last_trace_id: str = ""
+        #: Each thread's persistent connection (``.conn``).
+        self._local = threading.local()
+        #: Every persistent connection still open, whichever thread
+        #: made it, so :meth:`close` reaches them all.
+        self._open: set[http.client.HTTPConnection] = set()
+        self._open_lock = threading.Lock()
 
     # -- plumbing -----------------------------------------------------
 
     def _connect(self) -> http.client.HTTPConnection:
+        """A new connection: each call is one TCP connect."""
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout_s
         )
 
+    def close(self) -> None:
+        """Close every persistent connection, in every thread; the next
+        call opens a new one."""
+        with self._open_lock:
+            conns, self._open = self._open, set()
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: t.Any) -> None:
+        self.close()
+
+    def _drop(self) -> None:
+        """Close the calling thread's persistent connection."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
+            with self._open_lock:
+                self._open.discard(conn)
+
+    def _exchange(self, method: str, path: str, payload: bytes | None = None,
+                  headers: dict[str, str] | None = None,
+                  ) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one request on this thread's persistent connection and
+        read the whole response.
+
+        A connection the server has closed (``Connection: close``, or
+        closed while idle) is replaced.  A *reused* connection that
+        fails before the response's first byte is replaced once and
+        the request sent again; any other failure closes the
+        connection and propagates.
+        """
+        while True:
+            conn = getattr(self._local, "conn", None)
+            reused = conn is not None and conn.sock is not None
+            if not reused:
+                self._drop()
+                conn = self._local.conn = self._connect()
+                with self._open_lock:
+                    self._open.add(conn)
+            try:
+                conn.request(method, path, body=payload,
+                             headers=headers or {})
+                response = conn.getresponse()
+            except BaseException as exc:
+                self._drop()
+                if reused and isinstance(exc, ConnectionError):
+                    continue  # once: the next connection is a new one
+                raise
+            try:
+                return response, response.read()
+            except BaseException:
+                self._drop()
+                raise
+
     def _request(self, method: str, path: str,
                  body: dict[str, t.Any] | None = None,
                  *, trace_id: str | None = None) -> dict[str, t.Any]:
-        conn = self._connect()
-        try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = {"Content-Type": "application/json"} if payload else {}
-            if trace_id:
-                headers[TRACE_HEADER] = trace_id
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            doc = json.loads(raw) if raw else {}
-            self.last_trace_id = response.getheader(TRACE_HEADER) or ""
-            if response.status == 429:
-                raise AdmissionError(
-                    doc.get("error", "service refused the submission"),
-                    reason=doc.get("reason", "capacity"),
-                    retry_after_s=float(
-                        response.getheader("Retry-After")
-                        or doc.get("retry_after_s", 1.0)
-                    ),
-                )
-            if response.status == 503:
-                raise ServiceUnavailableError(
-                    doc.get("error", "service unavailable"),
-                    retry_after_s=float(
-                        response.getheader("Retry-After")
-                        or doc.get("retry_after_s", 1.0)
-                    ),
-                )
-            if response.status >= 400:
-                detail = doc.get("error") or repr(raw[:200])
-                raise ServiceError(
-                    f"{method} {path} -> {response.status}: {detail}"
-                )
-            return doc
-        finally:
-            conn.close()
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        if trace_id:
+            headers[TRACE_HEADER] = trace_id
+        response, raw = self._exchange(method, path, payload, headers)
+        doc = json.loads(raw) if raw else {}
+        self.last_trace_id = response.getheader(TRACE_HEADER) or ""
+        if response.status == 429:
+            raise AdmissionError(
+                doc.get("error", "service refused the submission"),
+                reason=doc.get("reason", "capacity"),
+                retry_after_s=float(
+                    response.getheader("Retry-After")
+                    or doc.get("retry_after_s", 1.0)
+                ),
+            )
+        if response.status == 503:
+            raise ServiceUnavailableError(
+                doc.get("error", "service unavailable"),
+                retry_after_s=float(
+                    response.getheader("Retry-After")
+                    or doc.get("retry_after_s", 1.0)
+                ),
+            )
+        if response.status >= 400:
+            detail = doc.get("error") or repr(raw[:200])
+            raise ServiceError(
+                f"{method} {path} -> {response.status}: {detail}"
+            )
+        return doc
 
     # -- routes -------------------------------------------------------
 
@@ -195,28 +264,17 @@ class ServiceClient:
         exactly the violations the caller asked for.  The document's
         ``status``/``violations`` fields carry the verdict instead.
         """
-        conn = self._connect()
-        try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            raw = response.read()
-            self.last_trace_id = response.getheader(TRACE_HEADER) or ""
-            if response.status not in (200, 503):
-                raise ServiceError(f"/healthz -> {response.status}")
-            return json.loads(raw) if raw else {}
-        finally:
-            conn.close()
+        response, raw = self._exchange("GET", "/healthz")
+        self.last_trace_id = response.getheader(TRACE_HEADER) or ""
+        if response.status not in (200, 503):
+            raise ServiceError(f"/healthz -> {response.status}")
+        return json.loads(raw) if raw else {}
 
     def metrics_text(self) -> str:
-        conn = self._connect()
-        try:
-            conn.request("GET", "/metrics")
-            response = conn.getresponse()
-            if response.status != 200:
-                raise ServiceError(f"/metrics -> {response.status}")
-            return response.read().decode("utf-8")
-        finally:
-            conn.close()
+        response, raw = self._exchange("GET", "/metrics")
+        if response.status != 200:
+            raise ServiceError(f"/metrics -> {response.status}")
+        return raw.decode("utf-8")
 
     # -- SSE ----------------------------------------------------------
 

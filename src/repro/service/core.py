@@ -90,6 +90,7 @@ from repro.obs import distributed as dist
 from repro.obs.distributed import TraceContext, TraceStore
 from repro.obs.export import make_record
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import DEFAULT_TRACE_SAMPLING
 from repro.service import jobs as jobs_mod
 from repro.service.slo import SloConfig, SloTracker
 from repro.service.breaker import BreakerConfig, CircuitBreaker
@@ -121,21 +122,6 @@ LATENCY_BUCKETS = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-#: Sim-span sampling used when a spawn worker captures its engine
-#: timeline (mirrors the harness's traced-run defaults; fetched
-#: lazily because the registry imports this module's experiment).
-_WORKER_SAMPLING: dict[str, float] | None = None
-
-
-def _worker_sampling() -> dict[str, float]:
-    global _WORKER_SAMPLING
-    if _WORKER_SAMPLING is None:
-        from repro.harness.registry import DEFAULT_TRACE_SAMPLING
-
-        _WORKER_SAMPLING = dict(DEFAULT_TRACE_SAMPLING)
-    return _WORKER_SAMPLING
-
 
 def _crash_process() -> None:  # pragma: no cover - by definition
     """Die like SIGKILL: no atexit, no finally, no flushing.
@@ -248,6 +234,10 @@ class TraceService:
         self.traces = TraceStore(keep=self.config.trace_keep)
 
         self._jobs: dict[str, Job] = {}
+        #: The non-terminal (queued or running) subset of ``_jobs``:
+        #: what admission, deadline estimates, drain and recovery read,
+        #: so their cost follows the backlog, not the job history.
+        self._live: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._queues: list[asyncio.PriorityQueue] = []
         self._executors: list[t.Any] = []
@@ -357,8 +347,7 @@ class TraceService:
         # history lives on in the result cache, not the journal.
         try:
             self.journal.rotate(live=[
-                job.envelope() for job in self._jobs.values()
-                if job.state not in TERMINAL
+                job.envelope() for job in self._live.values()
             ])
         except (OSError, JournalWriteError):
             self._journal_errors.inc(op="rotate")
@@ -384,9 +373,7 @@ class TraceService:
                 self.config.drain_timeout_s if drain_timeout_s is None
                 else drain_timeout_s
             )
-            while time.monotonic() < deadline and any(
-                    job.state not in TERMINAL
-                    for job in self._jobs.values()):
+            while time.monotonic() < deadline and self._live:
                 await asyncio.sleep(0.02)
         self._closed = True
         self._draining = False
@@ -401,10 +388,8 @@ class TraceService:
             await executor.aclose()
         self._loops.clear()
         if self.journal is not None:
-            clean = all(job.state in TERMINAL
-                        for job in self._jobs.values())
             try:
-                self.journal.close(mark_clean=clean)
+                self.journal.close(mark_clean=not self._live)
             except JournalWriteError:
                 self._journal_errors.inc(op="close")
 
@@ -490,13 +475,9 @@ class TraceService:
             self._hits.inc(source="disk")
             return job
 
-        backlog = sum(
-            1 for other in self._jobs.values()
-            if other.state in (QUEUED, RUNNING)
-        )
+        backlog = len(self._live)
         client_active = sum(
-            1 for other in self._jobs.values()
-            if other.client == client and other.state in (QUEUED, RUNNING)
+            1 for other in self._live.values() if other.client == client
         )
         breaker = (self.breakers[job.shard]
                    if job.shard < len(self.breakers) else None)
@@ -546,14 +527,15 @@ class TraceService:
 
     def _estimated_wait_s(self, shard: int) -> float:
         """Projected submit→done wait for a new job on *shard*: the
-        shard's backlog (plus the newcomer) times the EWMA of recent
+        shard's live jobs (plus the newcomer) times the EWMA of recent
         job walls.  Zero until the first completion — the estimator
-        never sheds without evidence."""
+        never sheds without evidence.  Live jobs, not the queue's
+        size: a job cancelled while queued stays in the queue until
+        the shard loop skips it, but it is no longer work."""
         if self._ewma_wall_s <= 0.0 or shard >= len(self._queues):
             return 0.0
-        shard_backlog = self._queues[shard].qsize() + sum(
-            1 for job in self._jobs.values()
-            if job.shard == shard and job.state == RUNNING
+        shard_backlog = sum(
+            1 for job in self._live.values() if job.shard == shard
         )
         return (shard_backlog + 1) * self._ewma_wall_s
 
@@ -576,6 +558,7 @@ class TraceService:
 
     def _register(self, job: Job) -> None:
         self._jobs[job.id] = job
+        self._live[job.id] = job
         self._by_key[job.key] = job.id
 
     # -- distributed tracing ------------------------------------------
@@ -708,7 +691,7 @@ class TraceService:
               data: dict[str, t.Any] | None = None) -> None:
         payload = {"id": job.id, "key": job.key, "state": job.state}
         payload.update(data or {})
-        record = JobEvent(seq=len(job.events) + 1, event=event, data=payload)
+        record = JobEvent.encode(len(job.events) + 1, event, payload)
         job.events.append(record)
         for queue in self._subscribers.get(job.id, ()):  # fan out live
             queue.put_nowait(record)
@@ -748,6 +731,7 @@ class TraceService:
         job.error = error
         job.finished_at = time.monotonic()
         job.completions += 1
+        self._live.pop(job.id, None)
         self._finished.inc(state=state)
         event = {DONE: "done", FAILED: "failed", CANCELLED: "cancelled"}
         data: dict[str, t.Any] = {}
@@ -793,6 +777,8 @@ class TraceService:
             t_notify = time.time()
             self._span(job, "sse.notify", t_notify, t_notify,
                        subscribers=len(self._subscribers.get(job.id, ())))
+        # That was the job's last span: a finished job keeps no marks.
+        job.trace_marks.clear()
 
     async def _breaker_gate(self, breaker: CircuitBreaker) -> None:
         """Park the shard loop until its breaker admits a dispatch —
@@ -862,7 +848,7 @@ class TraceService:
                 "trace_id": job.trace_id,
                 "span_id": worker_span,
                 "capture_sim": capture_sim,
-                "sampling": _worker_sampling() if capture_sim else None,
+                "sampling": DEFAULT_TRACE_SAMPLING if capture_sim else None,
             }
             shard_row = f"shard-{job.shard}"
             try:

@@ -2,10 +2,19 @@
 
 No third-party web framework: the dependency budget is the stdlib, and
 the API surface is small enough that ``asyncio.start_server`` plus a
-~hundred-line request parser is the honest cost.  One connection = one
-request (``Connection: close``), which keeps the parser trivial and is
-plenty for a campaign driver; SSE streams hold their connection open
-until the job's terminal event, exactly as the protocol intends.
+~hundred-line request parser is the honest cost.
+
+Connections are persistent: an HTTP/1.1 client sends request after
+request on one connection, each body framed by ``Content-Length``, so
+a submit → wait → status loop pays for one TCP handshake, not three.
+The server answers ``Connection: close`` and closes after a request
+that asks for it, after any HTTP/1.0 request, after an error response
+(the parse may have left the byte stream out of step), and after an
+SSE stream: a stream holds its connection until the job's terminal
+event, then closes it, exactly as the protocol intends.
+:meth:`HttpServer.aclose` closes the connections that sit idle between
+requests and the open streams, and lets a request already being
+answered finish first.
 
 Routes:
 
@@ -56,7 +65,7 @@ from repro.obs import distributed as dist
 from repro.obs.distributed import TRACE_HEADER, TraceContext
 from repro.obs.export import distributed_chrome_trace, make_record
 from repro.service.health import check_service
-from repro.service.jobs import TERMINAL, JobEvent
+from repro.service.jobs import TERMINAL
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.service.core import TraceService
@@ -76,6 +85,22 @@ class HttpError(ServiceError):
         self.status = status
 
 
+class _Connection:
+    """One client connection's keep-alive state."""
+
+    __slots__ = ("task", "interruptible", "close")
+
+    def __init__(self, task: asyncio.Task | None) -> None:
+        #: The handler task serving the connection.
+        self.task = task
+        #: Waiting for the next request or for an SSE event: closing
+        #: the socket now loses no response.
+        self.interruptible = True
+        #: Answer the current request with ``Connection: close``, then
+        #: close.
+        self.close = False
+
+
 class HttpServer:
     """The asyncio server owning one :class:`TraceService` front end."""
 
@@ -85,6 +110,8 @@ class HttpServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        self._connections: dict[asyncio.StreamWriter, _Connection] = {}
+        self._closing = False
 
     async def start(self) -> int:
         """Bind and listen; returns the actual port (for ``port=0``)."""
@@ -95,19 +122,66 @@ class HttpServer:
         return self.port
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening and close every connection.
+
+        Idle connections and SSE streams close at once; a request
+        being answered gets up to five seconds to finish, and its
+        connection closes after the response.  Every handler has
+        returned when this does, so no handler task is left for the
+        event loop's teardown to cancel.
+        """
+        if self._server is None:
+            return
+        self._server.close()
+        self._closing = True
+        handlers = {conn.task for conn in self._connections.values()
+                    if conn.task is not None}
+        for writer, conn in list(self._connections.items()):
+            if conn.interruptible:
+                writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=5.0)
+        for writer in list(self._connections):
+            writer.close()
+        await self._server.wait_closed()
+        self._server = None
 
     # -- connection handling ------------------------------------------
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        conn = _Connection(asyncio.current_task())
+        self._connections[writer] = conn
+        try:
+            while not self._closing and not conn.close:
+                line = await reader.readline()
+                if not line:  # the client closed between requests
+                    break
+                conn.interruptible = False
+                await self._serve_one(line, reader, writer, conn)
+                conn.interruptible = True
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            del self._connections[writer]
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _serve_one(self, line: bytes, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter,
+                         conn: _Connection) -> None:
+        """Answer the request whose request line is *line*."""
         t_start = time.time()
         trace_id = dist.new_trace_id()
         try:
-            method, path, headers = await self._read_head(reader)
+            method, path, version, headers = await self._read_head(
+                line, reader)
+            if (version != "HTTP/1.1"
+                    or headers.get("connection", "").lower() == "close"):
+                conn.close = True
             # Honour a caller-minted id so one trace spans client and
             # service; mint locally when absent or malformed.
             inbound = dist.sanitize_trace_id(
@@ -121,34 +195,26 @@ class HttpServer:
                 trace_id=trace_id, t_start=t_start,
             )
         except HttpError as exc:
+            conn.close = True
             await self._respond(
                 writer, exc.status, {"error": str(exc)}, trace_id=trace_id
             )
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass
+            raise
         except Exception as exc:  # noqa: BLE001 - last-resort 500
-            try:
-                await self._respond(
-                    writer, 500, {"error": repr(exc)}, trace_id=trace_id
-                )
-            except ConnectionError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            conn.close = True
+            await self._respond(
+                writer, 500, {"error": repr(exc)}, trace_id=trace_id
+            )
 
     @staticmethod
     async def _read_head(
-        reader: asyncio.StreamReader,
-    ) -> tuple[str, str, dict[str, str]]:
-        line = await reader.readline()
+        line: bytes, reader: asyncio.StreamReader,
+    ) -> tuple[str, str, str, dict[str, str]]:
         parts = line.decode("latin-1").split()
         if len(parts) != 3:
             raise HttpError(400, f"malformed request line: {line!r}")
-        method, path, _version = parts
+        method, path, version = parts
         headers: dict[str, str] = {}
         while True:
             raw = await reader.readline()
@@ -156,7 +222,7 @@ class HttpServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        return method.upper(), path, headers
+        return method.upper(), path, version.upper(), headers
 
     @staticmethod
     async def _read_body(reader: asyncio.StreamReader,
@@ -327,8 +393,17 @@ class HttpServer:
     async def _stream(self, job_id: str, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         job = self._job(job_id)
+        if self._closing:
+            raise HttpError(503, "server is shutting down")
+        # A stream ends when the job does, and closes its connection;
+        # until then closing the server may cut it.
+        conn = self._connections[writer]
+        conn.close = conn.interruptible = True
         history, queue = self.service.subscribe(job.id)
-        eof = asyncio.ensure_future(reader.read(1))  # EOF = client gone
+        # EOF (or any byte) from the client means it went away; the
+        # stream hears it as a ``None`` on its event queue.
+        eof = asyncio.ensure_future(reader.read(1))
+        eof.add_done_callback(lambda _: queue.put_nowait(None))
         try:
             writer.write((
                 "HTTP/1.1 200 OK\r\n"
@@ -336,76 +411,61 @@ class HttpServer:
                 "Cache-Control: no-cache\r\n"
                 f"{TRACE_HEADER}: {job.trace_id or 'untraced'}\r\n"
                 "Connection: close\r\n\r\n"
-            ).encode("latin-1"))
+            ).encode("latin-1") + b"".join(e.frame for e in history))
             await writer.drain()
-            seen = 0
-            for event in history:
-                self._write_event(writer, event)
-                seen = event.seq
-            await writer.drain()
-            terminal = any(e.event in ("done", "failed", "cancelled")
-                           for e in history)
+            seen = history[-1].seq if history else 0
+            terminal = any(e.event in TERMINAL for e in history)
             while not terminal:
-                getter = asyncio.ensure_future(queue.get())
-                done, _ = await asyncio.wait(
-                    {getter, eof}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if eof in done:  # client disconnected mid-stream
-                    getter.cancel()
+                event = await queue.get()
+                if event is None:  # client disconnected mid-stream
                     break
-                event = getter.result()
                 if event.seq <= seen:  # replay raced the live feed
                     continue
                 seen = event.seq
-                self._write_event(writer, event)
+                writer.write(event.frame)
                 await writer.drain()
-                terminal = event.event in ("done", "failed", "cancelled")
+                terminal = event.event in TERMINAL
         finally:
             self.service.unsubscribe(job.id, queue)
             eof.cancel()
 
-    @staticmethod
-    def _write_event(writer: asyncio.StreamWriter, event: JobEvent) -> None:
-        data = json.dumps(event.data, default=str)
-        writer.write(
-            f"id: {event.seq}\nevent: {event.event}\n"
-            f"data: {data}\n\n".encode("utf-8")
-        )
-
     # -- response plumbing --------------------------------------------
 
-    @staticmethod
     async def _respond(
-        writer: asyncio.StreamWriter, status: int, doc: dict[str, t.Any],
-        *, extra_headers: dict[str, str] | None = None,
+        self, writer: asyncio.StreamWriter, status: int,
+        doc: dict[str, t.Any], *,
+        extra_headers: dict[str, str] | None = None,
         trace_id: str | None = None,
     ) -> None:
-        body = json.dumps(doc, default=str).encode("utf-8")
+        await self._send(
+            writer, status, "application/json",
+            json.dumps(doc, default=str).encode("utf-8"),
+            extra_headers=extra_headers, trace_id=trace_id,
+        )
+
+    async def _respond_text(self, writer: asyncio.StreamWriter, status: int,
+                            text: str, *,
+                            trace_id: str | None = None) -> None:
+        await self._send(writer, status, "text/plain; charset=utf-8",
+                         text.encode("utf-8"), trace_id=trace_id)
+
+    async def _send(self, writer: asyncio.StreamWriter, status: int,
+                    content_type: str, body: bytes, *,
+                    extra_headers: dict[str, str] | None = None,
+                    trace_id: str | None = None) -> None:
         head = (
             f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
         )
         if trace_id:
             head += f"{TRACE_HEADER}: {trace_id}\r\n"
         for name, value in (extra_headers or {}).items():
             head += f"{name}: {value}\r\n"
-        head += "Connection: close\r\n\r\n"
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    @staticmethod
-    async def _respond_text(writer: asyncio.StreamWriter, status: int,
-                            text: str, *,
-                            trace_id: str | None = None) -> None:
-        body = text.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: text/plain; charset=utf-8\r\n"
-            f"Content-Length: {len(body)}\r\n"
-        )
-        if trace_id:
-            head += f"{TRACE_HEADER}: {trace_id}\r\n"
-        head += "Connection: close\r\n\r\n"
-        writer.write(head.encode("latin-1") + body)
+        conn = self._connections[writer]
+        if self._closing:
+            conn.close = True
+        if conn.close:
+            head += "Connection: close\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + body)
         await writer.drain()

@@ -285,13 +285,32 @@ def _run_sleep(payload: dict[str, t.Any]) -> t.Any:
 # Runtime state held by the service (never crosses a process).
 # --------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class JobEvent:
-    """One SSE-streamable lifecycle event, ordered by ``seq``."""
+    """One SSE-streamable lifecycle event, ordered by ``seq``.
+
+    The event is held as its SSE frame (``id`` / ``event`` / ``data``
+    lines), encoded once when it is emitted: every subscriber, live or
+    replaying, is written the same bytes, and a finished job keeps
+    bytes rather than a dict per event.
+    """
 
     seq: int
     event: str
-    data: dict[str, t.Any]
+    frame: bytes
+
+    @classmethod
+    def encode(cls, seq: int, event: str,
+               data: t.Mapping[str, t.Any]) -> "JobEvent":
+        body = json.dumps(data, default=str)
+        return cls(seq, event,
+                   f"id: {seq}\nevent: {event}\ndata: {body}\n\n"
+                   .encode("utf-8"))
+
+    @property
+    def data(self) -> dict[str, t.Any]:
+        """The event's payload, decoded from the frame."""
+        return json.loads(self.frame.partition(b"\ndata: ")[2])
 
 
 @dataclasses.dataclass

@@ -33,7 +33,7 @@ windows to watch an alert fire *and clear* inside one test run.
 
 from __future__ import annotations
 
-import collections
+import bisect
 import dataclasses
 import time
 import typing as t
@@ -100,20 +100,33 @@ class SloConfig:
         raise ConfigurationError(f"unknown objective {objective!r}")
 
 
-class _Event(t.NamedTuple):
-    at: float
-    #: Per objective: True good, False bad, None not applicable.
-    verdicts: tuple[bool | None, bool | None]
+#: Running totals through one event: (events, bad) for each objective,
+#: flattened in ``OBJECTIVES`` order.
+_Totals = tuple[int, int, int, int]
+_ZERO: _Totals = (0, 0, 0, 0)
 
 
 class SloTracker:
-    """Record job outcomes; answer burn rates and alert verdicts."""
+    """Record job outcomes; answer burn rates and alert verdicts.
+
+    Each event stores its time and the running totals through it, so a
+    window's ``(events, bad)`` is one ``bisect`` on the times and a
+    subtraction of two totals: the cost of a verdict does not grow with
+    the number of events the window holds.  The clock must never run
+    backwards (``time.monotonic`` does not), or the times stop being
+    sorted.
+    """
 
     def __init__(self, config: SloConfig | None = None,
                  *, clock: t.Callable[[], float] = time.monotonic) -> None:
         self.config = config or SloConfig()
         self._clock = clock
-        self._events: collections.deque[_Event] = collections.deque()
+        self._times: list[float] = []
+        self._totals: list[_Totals] = []
+        #: Totals through the last event compaction dropped.
+        self._base: _Totals = _ZERO
+        #: Events before this index are older than the long window.
+        self._head = 0
         #: Total events ever recorded (the windows forget; this doesn't).
         self.recorded = 0
 
@@ -127,22 +140,37 @@ class SloTracker:
         latency_ok: bool | None = None
         if ok and latency_s is not None:
             latency_ok = latency_s <= self.config.latency_target_s
-        self._push(_Event(self._clock(), (ok, latency_ok)))
+        self._push(ok, latency_ok)
 
     def record_shed(self) -> None:
         """A load-shed submission (open breaker): the client was
         turned away, which is an availability miss with no latency."""
-        self._push(_Event(self._clock(), (False, None)))
+        self._push(False, None)
 
-    def _push(self, event: _Event) -> None:
-        self._events.append(event)
+    def _push(self, *verdicts: bool | None) -> None:
+        """Append one event; *verdicts* are per objective: True good,
+        False bad, None not applicable."""
+        now = self._clock()
+        totals = list(self._totals[-1] if self._totals else self._base)
+        for index, verdict in enumerate(verdicts):
+            if verdict is not None:
+                totals[2 * index] += 1
+                totals[2 * index + 1] += not verdict
+        self._times.append(now)
+        self._totals.append(tuple(totals))  # type: ignore[arg-type]
         self.recorded += 1
-        self._prune(event.at)
+        self._prune(now)
 
     def _prune(self, now: float) -> None:
-        horizon = now - self.config.long_window_s
-        while self._events and self._events[0].at < horizon:
-            self._events.popleft()
+        """Forget events older than the long window; compact the lists
+        once the forgotten prefix is more than half of them."""
+        self._head = bisect.bisect_left(
+            self._times, now - self.config.long_window_s, self._head)
+        if self._head * 2 > len(self._times):
+            self._base = self._totals[self._head - 1]
+            del self._times[:self._head]
+            del self._totals[:self._head]
+            self._head = 0
 
     # -- answering ----------------------------------------------------
 
@@ -152,19 +180,13 @@ class SloTracker:
     def _window_counts(self, objective: str,
                        window_s: float) -> tuple[int, int]:
         """(events, bad) for *objective* within the last *window_s*."""
-        index = OBJECTIVES.index(objective)
-        horizon = self._clock() - window_s
-        events = bad = 0
-        for event in reversed(self._events):
-            if event.at < horizon:
-                break
-            verdict = event.verdicts[index]
-            if verdict is None:
-                continue
-            events += 1
-            if not verdict:
-                bad += 1
-        return events, bad
+        index = 2 * OBJECTIVES.index(objective)
+        start = bisect.bisect_left(
+            self._times, self._clock() - window_s, self._head)
+        before = self._totals[start - 1] if start else self._base
+        last = self._totals[-1] if self._totals else self._base
+        return (last[index] - before[index],
+                last[index + 1] - before[index + 1])
 
     def burn_rate(self, objective: str, window_s: float) -> float:
         """Error rate over the window divided by the error budget."""
@@ -193,7 +215,7 @@ class SloTracker:
         it; the fault-lane recipe in EXPERIMENTS.md reads it)."""
         doc: dict[str, t.Any] = {
             "recorded": self.recorded,
-            "window_events": len(self._events),
+            "window_events": len(self._times) - self._head,
             "objectives": {},
         }
         for objective in OBJECTIVES:

@@ -1,9 +1,16 @@
 """The HTTP/SSE front end, driven over real loopback sockets."""
 
+import gc
 import http.client
 import json
+import logging
+import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -252,6 +259,170 @@ class TestStreaming:
         final = client.wait(doc["id"], timeout_s=30.0)
         assert final["state"] == "done"
         assert client.healthz()["status"] == "ok"
+
+
+def _raw(port, request: bytes) -> bytes:
+    """Send *request* on a fresh socket; read until the server closes
+    it (a server that keeps it open fails the read's timeout)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestKeepAlive:
+    def test_json_calls_share_one_connection(self, live):
+        client = ServiceClient(port=live.port)
+        connects = []
+        connect = client._connect
+
+        def counted():
+            connects.append(1)
+            return connect()
+
+        client._connect = counted
+        doc = client.submit("sleep", {"label": "ka"})
+        for _ in range(5):
+            client.status(doc["id"])
+        client.overview()
+        client.healthz()
+        client.metrics_text()
+        assert client.submit("sleep", {"label": "ka"})["id"] == doc["id"]
+        with pytest.raises(ServiceError, match="404"):
+            client.status("j99999")  # an error closes the connection …
+        client.status(doc["id"])     # … and the next call opens one
+        assert len(connects) == 2
+        client.close()
+
+    def test_close_reaches_every_thread(self, live):
+        client = ServiceClient(port=live.port)
+        conns = []
+        connect = client._connect
+
+        def recorded():
+            conns.append(connect())
+            return conns[-1]
+
+        client._connect = recorded
+        threads = [threading.Thread(target=client.healthz)
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        client.healthz()
+        assert len(conns) == 3  # one per thread
+        assert all(conn.sock is not None for conn in conns)
+        client.close()
+        assert all(conn.sock is None for conn in conns)
+
+    def test_keep_alive_is_the_http11_default(self, live):
+        conn = http.client.HTTPConnection("127.0.0.1", live.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            first = conn.getresponse()
+            first.read()
+            sock = conn.sock
+            assert first.getheader("Connection") is None
+            conn.request("GET", "/jobs")
+            second = conn.getresponse()
+            assert second.status == 200 and json.loads(second.read())
+            assert conn.sock is sock  # the same socket answered both
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http10"])
+    def test_close_requests_get_close_and_eof(self, live, request_head):
+        head, _, body = _raw(live.port, request_head).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["status"] == "ok"  # one response, then EOF
+
+    @pytest.mark.parametrize("request_head,status", [
+        (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", b"404"),
+        # Bodies are framed by Content-Length alone: a chunked one
+        # reads as empty, is refused, and its bytes are never parsed
+        # as a next request.
+        (b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", b"400"),
+    ], ids=["not-found", "chunked-body"])
+    def test_error_response_closes(self, live, request_head, status):
+        head, _, _ = _raw(live.port, request_head).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 " + status)
+        assert b"\r\nConnection: close" in head
+
+    def test_sse_still_ends_at_the_terminal_event(self, live):
+        with ServiceClient(port=live.port) as client:
+            doc = client.submit("sleep", {"duration_s": 0.05,
+                                          "label": "ka-sse"})
+            head, _, body = _raw(
+                live.port,
+                f"GET /jobs/{doc['id']}/stream HTTP/1.1\r\nHost: x\r\n\r\n"
+                .encode(),
+            ).partition(b"\r\n\r\n")
+            assert b"\r\nConnection: close" in head
+            events = [line.split(b": ", 1)[1] for line in body.splitlines()
+                      if line.startswith(b"event: ")]
+            assert events[0] == b"queued" and events[-1] == b"done"
+            assert client.status(doc["id"])["state"] == "done"
+
+    def test_thread_stop_with_an_idle_connection(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        unraisable = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = unraisable.append
+        try:
+            live = ServiceThread(thread_config()).start()
+            client = ServiceClient(port=live.port, timeout_s=5.0)
+            client.healthz()  # the connection now sits idle, open
+            start = time.monotonic()
+            live.stop()
+            assert time.monotonic() - start < 5.0
+            gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert not unraisable
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.WARNING]
+        # The server closed the idle connection; the client's retry
+        # finds nobody listening.
+        with pytest.raises(OSError):
+            client.healthz()
+        client.close()
+
+    def test_sigterm_with_an_idle_connection(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONUNBUFFERED": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--shards", "1", "--executor", "thread"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"http://[^\s:]+:(\d+)", banner).group(1))
+            with ServiceClient(port=port, timeout_s=10.0) as client:
+                client.wait(client.submit("sleep", {"label": "term"})["id"],
+                            timeout_s=30.0)
+                client.healthz()  # the connection now sits idle, open
+                start = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                _out, err = proc.communicate(timeout=5.0)
+                assert time.monotonic() - start < 5.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        for sign in ("Traceback", "Exception in callback",
+                     "Exception ignored", "Task was destroyed"):
+            assert sign not in err, err
 
 
 class TestOps:

@@ -337,6 +337,35 @@ class TestDeadlineShedding:
 
         run_async(go())
 
+    def test_jobs_cancelled_while_queued_add_no_wait(self, tmp_path):
+        """Regression: the estimate once added the shard queue's size,
+        which still holds jobs cancelled while queued, so five
+        cancelled jobs shed a deadline that one running job meets."""
+        async def go():
+            service = durable_service(tmp_path)
+            await service.start()
+            try:
+                service._note_wall(0.2)  # EWMA evidence: jobs take 0.2s
+                hold = service.submit("sleep", {"duration_s": 3.0,
+                                                "label": "hold"})
+                await started(service, hold)
+                for index in range(5):
+                    queued = service.submit(
+                        "sleep", {"duration_s": 3.0, "label": f"q{index}"},
+                        client="b")
+                    await service.cancel(queued.id)
+                counts = service.counts()
+                assert (counts["queued"], counts["running"]) == (0, 1)
+                # One running job plus the newcomer: 0.4s <= 0.5s.
+                job = service.submit("sleep", {"label": "urgent"},
+                                     client="c", deadline_s=0.5)
+                assert job.state == "queued"
+                await service.cancel(hold.id)
+            finally:
+                await service.aclose()
+
+        run_async(go())
+
     def test_no_history_never_sheds(self, tmp_path):
         async def go():
             service = durable_service(tmp_path)

@@ -1,11 +1,15 @@
 """The rolling-window SLO tracker and its multi-window burn alert."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.slo import (
     AVAILABILITY,
     LATENCY,
+    OBJECTIVES,
+    WINDOWS,
     SloConfig,
     SloTracker,
 )
@@ -102,7 +106,7 @@ class TestBurnRate:
         slo.record_completion(ok=False)
         clock.tick(101.0)
         slo.record_completion(ok=True)
-        assert len(slo._events) == 1
+        assert slo.describe()["window_events"] == 1
         assert slo.recorded == 2  # the lifetime counter never forgets
 
 
@@ -146,6 +150,95 @@ class TestAlerting:
         assert availability["events"] == 2 and availability["bad"] == 1
         assert set(availability["burn"]) == {"short", "long"}
         assert isinstance(availability["alerting"], bool)
+
+
+class FullScan:
+    """The reference tracker: every event kept as ``(at, verdicts)``,
+    forgotten past the long window at each record, every answer a scan
+    of all that are left."""
+
+    def __init__(self, config: SloConfig, clock) -> None:
+        self.config = config
+        self.clock = clock
+        self.events: list[tuple[float, tuple]] = []
+        self.recorded = 0
+
+    def record(self, availability, latency) -> None:
+        now = self.clock()
+        self.events.append((now, (availability, latency)))
+        self.recorded += 1
+        horizon = now - self.config.long_window_s
+        self.events = [e for e in self.events if e[0] >= horizon]
+
+    def counts(self, objective, window_s):
+        index = OBJECTIVES.index(objective)
+        horizon = self.clock() - window_s
+        verdicts = [v[index] for at, v in self.events
+                    if at >= horizon and v[index] is not None]
+        return len(verdicts), verdicts.count(False)
+
+    def burn_rate(self, objective, window_s):
+        events, bad = self.counts(objective, window_s)
+        budget = 1.0 - self.config.target(objective)
+        return (bad / events) / budget if events else 0.0
+
+    def alerting(self, objective):
+        events, _ = self.counts(objective, self.config.short_window_s)
+        return events >= self.config.min_samples and all(
+            self.burn_rate(objective, self.config.window_s(window))
+            > self.config.burn_threshold for window in WINDOWS)
+
+    def describe(self):
+        objectives = {}
+        for objective in OBJECTIVES:
+            events, bad = self.counts(objective, self.config.long_window_s)
+            objectives[objective] = {
+                "target": self.config.target(objective),
+                "events": events,
+                "bad": bad,
+                "burn": {window: round(self.burn_rate(
+                    objective, self.config.window_s(window)), 4)
+                    for window in WINDOWS},
+                "alerting": self.alerting(objective),
+            }
+        return {"recorded": self.recorded,
+                "window_events": len(self.events),
+                "objectives": objectives}
+
+
+class TestAgainstFullScan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_windows_match_a_brute_force_scan(self, clock, seed):
+        """Random completions and sheds over bursts, slides past the
+        long window and repeated compaction: every verdict equals a
+        full scan of the same events."""
+        rng = random.Random(seed)
+        slo = tracker(clock, min_samples=3)
+        reference = FullScan(slo.config, clock)
+        for _ in range(800):
+            clock.tick(rng.choice((0.0, 0.0, 0.05, 0.5, 2.0, 9.0)))
+            if rng.random() < 0.02:
+                clock.tick(rng.uniform(100.0, 250.0))  # past long
+            if rng.random() < 0.15:
+                slo.record_shed()
+                reference.record(False, None)
+            else:
+                ok = rng.random() < 0.8
+                latency = rng.choice((None, rng.uniform(0.0, 1.6)))
+                slo.record_completion(ok=ok, latency_s=latency)
+                reference.record(
+                    ok, latency <= 1.0
+                    if ok and latency is not None else None)
+            if rng.random() < 0.3:
+                clock.tick(rng.uniform(0.0, 30.0))  # query later
+            for objective in OBJECTIVES:
+                for window_s in (0.5, 10.0, 55.0, 100.0, 400.0):
+                    assert slo.burn_rate(objective, window_s) == \
+                        reference.burn_rate(objective, window_s)
+                assert slo.alerting(objective) == \
+                    reference.alerting(objective)
+            assert slo.describe() == reference.describe()
+        assert slo._base != (0, 0, 0, 0)  # compaction really ran
 
 
 class TestHealthCheck:

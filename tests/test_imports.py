@@ -53,6 +53,25 @@ def test_server_and_worker_boot_without_experiments(module):
                 if m == "repro.net" or m.startswith("repro.net.")]
 
 
+def test_server_runs_a_spawn_job_without_experiments():
+    """Dispatching to a spawn worker (which ships the sim-trace
+    sampling) must not pull the experiment registry into the server."""
+    loaded = loaded_after(
+        "import asyncio\n"
+        "from repro.service.core import ServiceConfig, TraceService\n"
+        "async def go():\n"
+        "    svc = TraceService(ServiceConfig(shards=1, executor='spawn'))\n"
+        "    await svc.start()\n"
+        "    job = svc.submit('trace', {'users': 5})\n"
+        "    async with asyncio.timeout(60):\n"
+        "        while job.state != 'done':\n"
+        "            await asyncio.sleep(0.01)\n"
+        "    await svc.aclose()\n"
+        "asyncio.run(go())")
+    assert "repro.service.core" in loaded
+    assert "repro.harness.registry" not in loaded
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_export_resolves_and_is_listed(package):
     unresolved = fresh(
