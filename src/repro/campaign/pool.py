@@ -22,9 +22,10 @@ owner closes its workers, and an exit hook closes any left before
 ``multiprocessing`` joins its children; a worker whose parent dies
 exits too.  Stopping a worker sends SIGTERM, which the worker turns
 into an orderly exit, so a job's own workers and queues are closed
-too; a worker still alive five seconds later is killed.  The ``spawn`` start method works on every platform and
-never inherits a forked copy of the parent's simulator state (job
-functions must be top-level so they pickle by reference).
+too; a worker still alive five seconds later is killed.  The ``spawn``
+start method works on every platform and never inherits a forked copy
+of the parent's simulator state (job functions must be top-level so
+they pickle by reference).
 """
 
 from __future__ import annotations
@@ -57,10 +58,16 @@ class Task:
     label: str = ""
 
 
+#: How long an idle worker blocks on its inbox before it looks again.
+#: A SIGTERM runs its Python handler only when the main thread runs
+#: bytecode, and one that lands just before a blocking pipe read starts
+#: does not interrupt that read: the timeout bounds how long it waits.
+IDLE_POLL_S = 0.05
+
+
 def worker_identity() -> dict[str, t.Any]:
     """Who is executing right now — stamped into distributed-trace
-    docs so a span can name the worker process it ran in.  Works in a
-    spawn worker and in the parent (thread executors) alike."""
+    docs so a span can name the worker process it ran in."""
     return {"pid": os.getpid()}
 
 
@@ -80,7 +87,10 @@ def _worker_main(inbox: t.Any, outbox: t.Any) -> None:
     threading.Thread(target=_exit_with_parent, daemon=True).start()
     try:
         while True:
-            fn, args = inbox.get()
+            try:
+                fn, args = inbox.get(timeout=IDLE_POLL_S)
+            except queue_mod.Empty:
+                continue
             try:
                 outbox.put(("ok", fn(*args)))
             except _Stopped:
@@ -131,13 +141,22 @@ class SpawnWorker:
             return None
 
     def run(self, fn: t.Callable[..., t.Any],
-            args: t.Sequence[t.Any] = ()) -> t.Any:
+            args: t.Sequence[t.Any] = (), *,
+            aborted: threading.Event | None = None) -> t.Any:
         """Return ``fn(*args)`` run in the process, or raise
         :class:`JobFailedError` (an ``"exception"`` carries the job's
-        traceback)."""
+        traceback).
+
+        A set *aborted* event ends the run with ``"aborted"`` before
+        its task reaches the process: set it, then :meth:`abort`, and
+        the run stops whether or not it had started.
+        """
         with self._lock:
             if self._closed:
                 raise JobFailedError("worker closed", reason="aborted")
+            if aborted is not None and aborted.is_set():
+                raise JobFailedError("job aborted before it started",
+                                     reason="aborted")
             if self._proc is None or not self._proc.is_alive():
                 self._respawn_locked()
             generation = self._generation

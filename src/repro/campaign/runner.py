@@ -60,9 +60,7 @@ def _execute_job(
         result = run_experiment(experiment, config)
         records, snapshot = None, None
     wall_s = time.perf_counter() - start
-    result = result.with_meta(
-        wall_s=round(wall_s, 6), config_fingerprint=config.fingerprint()
-    )
+    result = config.stamp(result, wall_s)
     return {
         "result_json": result.to_json(),
         "wall_s": wall_s,

@@ -196,9 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             result, artifacts = run_experiment(experiment, config), None
         elapsed = time.perf_counter() - start
-        result = result.with_meta(
-            wall_s=round(elapsed, 6), config_fingerprint=config.fingerprint()
-        )
+        result = config.stamp(result, elapsed)
         print(result.render())
         if artifacts is not None:
             print(artifacts.summary)

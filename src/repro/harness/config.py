@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing as t
 
 from repro.errors import ConfigurationError
 
@@ -79,9 +80,6 @@ class ExperimentConfig:
     service_jobs_per_client: int = 3
     #: Users per streaming-trace job the service lanes submit.
     service_trace_users: int = 50_000
-    #: Executor for the mixed-load lane (``thread`` or ``spawn``; the
-    #: crash-recovery lane always exercises ``spawn`` regardless).
-    service_executor: str = "thread"
 
     def __post_init__(self) -> None:
         if self.stream_duration_s <= 0 or self.macro_duration_s <= 0:
@@ -129,11 +127,6 @@ class ExperimentConfig:
                 "service_shards, service_clients, service_jobs_per_client "
                 "and service_trace_users must be >= 1"
             )
-        if self.service_executor not in ("thread", "spawn"):
-            raise ConfigurationError(
-                f"service_executor must be 'thread' or 'spawn': "
-                f"{self.service_executor!r}"
-            )
         if self.netstack_backend != "all":
             # Imported lazily so building a config never pays for the
             # backend registry; unknown names raise the registry's
@@ -153,6 +146,14 @@ class ExperimentConfig:
             dataclasses.asdict(self), sort_keys=True, default=str
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+    def stamp(self, result: t.Any, wall_s: float) -> t.Any:
+        """*result* with the provenance meta of one execution under
+        this config: its wall seconds and this config's fingerprint.
+        Serial runs, campaign jobs and service jobs all stamp here, so
+        a cached result reads the same whoever wrote it."""
+        return result.with_meta(wall_s=round(wall_s, 6),
+                                config_fingerprint=self.fingerprint())
 
     @classmethod
     def preset(cls, name: str) -> "ExperimentConfig":

@@ -10,8 +10,8 @@ addressed result cache, and streams lifecycle events back over SSE.
   cache probe, shard loops, event fan-out).
 * :mod:`repro.service.queue` — admission policy (capacity + quota →
   429 with Retry-After).
-* :mod:`repro.service.shards` — key-hash shard routing and the thread
-  / spawn-process executors with crash requeue.
+* :mod:`repro.service.shards` — key-hash shard routing and the
+  spawn-process executor with crash requeue.
 * :mod:`repro.service.jobs` — job vocabulary and the one picklable
   worker function.
 * :mod:`repro.service.http` — hand-rolled asyncio HTTP/1.1 + SSE.

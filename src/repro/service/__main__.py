@@ -7,13 +7,13 @@ The operational entry point the README quickstart documents::
         "payload": {"experiment": "fig08", "preset": "quick"}}'
     curl -N localhost:8700/jobs/j00000/stream
 
-Runs until interrupted; ``--shards``/``--executor`` size the worker
-side, ``--capacity``/``--quota`` bound admission, ``--cache`` points
-at (and shares) a campaign result-cache directory, and ``--journal``
-turns on the write-ahead job journal: a killed service replays it on
-the next boot and finishes what it had accepted.  ``--slo-*`` tune
-the rolling availability/latency objectives behind the
-``service.slo`` health check and the ``service_slo_burn`` gauge;
+Runs until interrupted; ``--shards`` sizes the worker side (one spawn
+worker process per shard), ``--capacity``/``--quota`` bound admission,
+``--cache`` points at (and shares) a campaign result-cache directory,
+and ``--journal`` turns on the write-ahead job journal: a killed
+service replays it on the next boot and finishes what it had accepted.
+``--slo-*`` tune the rolling availability/latency objectives behind
+the ``service.slo`` health check and the ``service_slo_burn`` gauge;
 ``--trace-keep`` sizes the in-memory distributed-trace store behind
 ``GET /jobs/<id>/trace``.
 
@@ -35,7 +35,6 @@ import typing as t
 
 from repro.service.core import ServiceConfig, TraceService
 from repro.service.http import HttpServer
-from repro.service.shards import EXECUTORS
 from repro.service.slo import SloConfig
 
 
@@ -49,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="listen port (0 picks a free one)")
     parser.add_argument("--shards", type=int, default=2,
                         help="worker shards (default: 2)")
-    parser.add_argument("--executor", choices=sorted(EXECUTORS),
-                        default="spawn",
-                        help="per-shard executor (default: spawn)")
+    parser.add_argument("--executor", choices=["spawn"], default="spawn",
+                        help="per-shard executor; the only one is spawn, "
+                             "one worker process per shard")
     parser.add_argument("--capacity", type=int, default=64,
                         help="max queued+running jobs before 429s")
     parser.add_argument("--quota", type=int, default=16,
@@ -104,7 +103,7 @@ async def serve(config: ServiceConfig, host: str, port: int,
     bound = await server.start()
     announce(
         f"repro.service listening on http://{host}:{bound} "
-        f"({config.shards} {config.executor} shards, "
+        f"({config.shards} spawn shards, "
         f"capacity {config.capacity}, quota {config.per_client_quota})"
     )
     drain = asyncio.Event()
@@ -133,7 +132,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         shards=args.shards,
         capacity=args.capacity,
         per_client_quota=args.quota,
-        executor=args.executor,
         cache_dir=args.cache,
         job_timeout_s=args.timeout,
         journal_dir=args.journal,

@@ -219,24 +219,6 @@ class ServiceClient:
                    max(0.0, hint_s) * (2 ** (attempt - 1)))
         return base * self._rng.uniform(0.5, 1.0)
 
-    def submit_with_backoff(
-        self, kind: str, payload: dict[str, t.Any] | None = None,
-        *, client: str = "anonymous", priority: int = 0,
-        max_wait_s: float = 30.0,
-    ) -> dict[str, t.Any]:
-        """Submit, honouring 429/503 Retry-After until *max_wait_s*."""
-        deadline = time.monotonic() + max_wait_s
-        while True:
-            try:
-                return self._request("POST", "/jobs", {
-                    "kind": kind, "payload": payload or {},
-                    "client": client, "priority": priority,
-                })
-            except (AdmissionError, ServiceUnavailableError) as exc:
-                if time.monotonic() + exc.retry_after_s > deadline:
-                    raise
-                self._sleep(exc.retry_after_s)
-
     def status(self, job_id: str) -> dict[str, t.Any]:
         return self._request("GET", f"/jobs/{job_id}")
 

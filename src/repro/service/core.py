@@ -2,12 +2,12 @@
 
 :class:`TraceService` is the asyncio heart of :mod:`repro.service`.
 One instance owns N shard loops (each an ``asyncio.Task`` draining a
-priority queue into an executor), the shared content-addressed result
-cache, the dedupe map, and the per-job event logs that SSE subscribers
-replay.  The HTTP layer (:mod:`repro.service.http`) is a thin
-translation onto this class; everything here is directly usable
-in-process, which is how the unit tests and the harness experiment
-drive it.
+priority queue into its shard's spawn worker process), the shared
+content-addressed result cache, the dedupe map, and the per-job event
+logs that SSE subscribers replay.  The HTTP layer
+(:mod:`repro.service.http`) is a thin translation onto this class;
+everything here is directly usable in-process, which is how the unit
+tests and the harness experiment drive it.
 
 The submission path, in order:
 
@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import os
 import pathlib
 import time
@@ -113,7 +112,7 @@ from repro.service.jobs import (
     run_payload,
 )
 from repro.service.queue import AdmissionController
-from repro.service.shards import ShardRouter, make_executor
+from repro.service.shards import ShardRouter, SpawnExecutor
 
 
 #: Explicit buckets for the service latency histograms: 1 ms to 60 s.
@@ -139,9 +138,6 @@ class ServiceConfig:
     shards: int = 2
     capacity: int = 64
     per_client_quota: int = 16
-    #: ``spawn`` (real worker processes, crash isolation — the
-    #: production default) or ``thread`` (in-process, fast startup).
-    executor: str = "spawn"
     cache_dir: str | pathlib.Path | None = None
     job_timeout_s: float = 300.0
     retry: RetryPolicy = DEFAULT_RETRY
@@ -240,9 +236,12 @@ class TraceService:
         self._live: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._queues: list[asyncio.PriorityQueue] = []
-        self._executors: list[t.Any] = []
+        self._executors: list[SpawnExecutor] = []
         self._loops: list[asyncio.Task] = []
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
+        #: Running jobs a :meth:`cancel` waits on, resolved by
+        #: :meth:`_complete`.
+        self._settled: dict[str, asyncio.Future] = {}
         self._next_id = 0
         self._enqueue_seq = 0
         self._closed = False
@@ -263,9 +262,8 @@ class TraceService:
             raise ServiceError("service already started")
         for shard in range(self.config.shards):
             self._queues.append(asyncio.PriorityQueue())
-            self._executors.append(make_executor(
-                self.config.executor, timeout_s=self.config.job_timeout_s,
-            ))
+            self._executors.append(
+                SpawnExecutor(timeout_s=self.config.job_timeout_s))
             self.breakers.append(CircuitBreaker(
                 self.config.breaker, name=f"shard-{shard}",
                 on_transition=self._make_breaker_observer(shard),
@@ -384,6 +382,10 @@ class TraceService:
             # must not wedge teardown (asyncio.wait never re-raises
             # the tasks' exceptions, and abandons them on timeout).
             await asyncio.wait(self._loops, timeout=5.0)
+        # No shard loop is left to settle a cancel still waiting.
+        for settled in self._settled.values():
+            if not settled.done():
+                settled.set_result(None)
         for executor in self._executors:
             await executor.aclose()
         self._loops.clear()
@@ -602,7 +604,6 @@ class TraceService:
         """Low-cardinality labels for the latency histograms."""
         return {
             "kind": job.kind,
-            "backend": self.config.executor,
             "experiment": (str(job.payload.get("experiment", "-"))
                            if job.kind == "experiment" else "-"),
         }
@@ -671,7 +672,11 @@ class TraceService:
     # -- cancel -------------------------------------------------------
 
     async def cancel(self, job_id: str) -> Job:
-        """Cancel a queued or running job; terminal jobs are left be."""
+        """Cancel a queued or running job; terminal jobs are left be.
+
+        Returns once the job is terminal, so its admission slot is
+        free by the time the caller hears back.
+        """
         job = self.job(job_id)
         if job.state in TERMINAL:
             return job
@@ -680,9 +685,16 @@ class TraceService:
             self._depth.add(-1.0)
             return job
         # Running: flag it and abort the in-flight execution; the shard
-        # loop owns the terminal transition.
+        # loop owns the terminal transition, and sees the abort when
+        # its worker thread next polls.
         job.cancel_requested = True
+        settled = self._settled.get(job.id)
+        if settled is None:
+            settled = asyncio.get_running_loop().create_future()
+            self._settled[job.id] = settled
         await self._executors[job.shard].abort()
+        if not self._closed:  # else no shard loop is left to settle it
+            await asyncio.shield(settled)
         return job
 
     # -- events and streaming -----------------------------------------
@@ -732,6 +744,9 @@ class TraceService:
         job.finished_at = time.monotonic()
         job.completions += 1
         self._live.pop(job.id, None)
+        settled = self._settled.pop(job.id, None)
+        if settled is not None and not settled.done():
+            settled.set_result(None)
         self._finished.inc(state=state)
         event = {DONE: "done", FAILED: "failed", CANCELLED: "cancelled"}
         data: dict[str, t.Any] = {}
@@ -780,10 +795,14 @@ class TraceService:
         # That was the job's last span: a finished job keeps no marks.
         job.trace_marks.clear()
 
-    async def _breaker_gate(self, breaker: CircuitBreaker) -> None:
+    async def _breaker_gate(self, breaker: CircuitBreaker,
+                            retrying: Job | None = None) -> None:
         """Park the shard loop until its breaker admits a dispatch —
-        either closed, or open-gone-half-open offering a probe slot."""
+        either closed, or open-gone-half-open offering a probe slot —
+        or until the *retrying* job parked there is asked to cancel."""
         while not breaker.allow():
+            if retrying is not None and retrying.cancel_requested:
+                return
             await asyncio.sleep(
                 min(0.05, max(0.005, breaker.cooldown_remaining()))
             )
@@ -836,10 +855,9 @@ class TraceService:
                 "service.crash", f"service-shard-{shard}"):
             _crash_process()
 
-    async def _run_with_retry(self, job: Job, executor: t.Any,
+    async def _run_with_retry(self, job: Job, executor: SpawnExecutor,
                               breaker: CircuitBreaker) -> None:
         retry = self.config.retry
-        capture_sim = self.config.executor == "spawn"
         while True:
             job.attempts += 1
             attempt_start = time.time()
@@ -847,8 +865,7 @@ class TraceService:
             trace_arg = {
                 "trace_id": job.trace_id,
                 "span_id": worker_span,
-                "capture_sim": capture_sim,
-                "sampling": DEFAULT_TRACE_SAMPLING if capture_sim else None,
+                "sampling": DEFAULT_TRACE_SAMPLING,
             }
             shard_row = f"shard-{job.shard}"
             try:
@@ -893,7 +910,7 @@ class TraceService:
                     # A tripped breaker pauses the retry too: hammering
                     # a sick shard with the same job is how one crashy
                     # submission burns a whole retry budget in <1s.
-                    await self._breaker_gate(breaker)
+                    await self._breaker_gate(breaker, retrying=job)
                     self._span(job, "retry.wait", t_crash, time.time(),
                                worker=shard_row, attempt=job.attempts)
                     if job.cancel_requested:
@@ -952,7 +969,6 @@ class TraceService:
                 "shards": self.config.shards,
                 "capacity": self.config.capacity,
                 "per_client_quota": self.config.per_client_quota,
-                "executor": self.config.executor,
             },
             "counts": self.counts(),
             "queue_depths": list(self.queue_depths()),

@@ -15,7 +15,7 @@ scenario lane:
 * ``warm-resubmit`` — a *fresh* instance pointed at the same cache
   directory answers the identical cacheable submissions from disk;
   the hit-rate must clear 95%.
-* ``crash-requeue`` — a one-shard ``spawn`` instance loses its worker
+* ``crash-requeue`` — a one-shard instance loses its worker process
   mid-job and requeues onto a fresh one (attempt 2 succeeds).
 * ``recovery``    — a journaled instance is killed abruptly with one
   job running and three queued; the next boot replays all four from
@@ -26,7 +26,7 @@ scenario lane:
 * ``breaker``     — a worker hard-exit trips the one-failure breaker;
   admission sheds while it cools, the half-open probe re-runs the job
   and closes the breaker again.
-* ``telemetry``   — one HTTP job on a ``spawn`` shard yields one
+* ``telemetry``   — one HTTP job yields one
   connected distributed trace (submit → admission → queue → worker →
   publish, with the engine's sim-time spans as children) whose
   critical-path components sum to the end-to-end latency within 5 %.
@@ -110,19 +110,15 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
 
 def _admission_lane() -> dict[str, t.Any]:
     service_config = ServiceConfig(
-        shards=1, capacity=2, per_client_quota=1,
-        executor="thread", retry_after_s=0.1,
+        shards=1, capacity=2, per_client_quota=1, retry_after_s=0.1,
     )
     rejected_capacity = rejected_quota = 0
     retry_after_ok = True
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port) as client):
         held = []
-        # Two distinct clients fill the backlog (quota is 1 each).
-        # 5s holds: cancelled thread jobs are *abandoned*, and their
-        # threads must not outlive the whole experiment (non-daemon
-        # pool threads delay interpreter exit); 5s still dwarfs the
-        # few loopback round-trips the lane makes while they run.
+        # Two distinct clients fill the backlog (quota is 1 each); the
+        # holds outlast the lane, which cancels them.
         for i in range(2):
             held.append(client.submit(
                 "sleep", {"duration_s": 5.0, "label": f"hold{i}"},
@@ -190,7 +186,6 @@ def _mixed_load_lane(
         capacity=max(64, config.service_clients
                      * config.service_jobs_per_client * 2),
         per_client_quota=max(16, config.service_jobs_per_client * 2),
-        executor=config.service_executor,
         cache_dir=cache_dir,
     )
     latencies: list[float] = []
@@ -199,21 +194,21 @@ def _mixed_load_lane(
     with ServiceThread(service_config) as live:
 
         def drive(client_index: int) -> list[dict[str, t.Any]]:
-            client = ServiceClient(port=live.port, timeout_s=300.0)
             finals = []
-            for kind, payload in _client_submissions(config, client_index):
-                t0 = time.perf_counter()
-                doc = client.submit_with_backoff(
-                    kind, payload, client=f"load-{client_index}",
-                    max_wait_s=120.0,
-                )
-                final = client.wait(doc["id"], timeout_s=300.0)
-                elapsed = time.perf_counter() - t0
-                # Submit→terminal latency net of the job's own run
-                # time: what the queue + shards + SSE pipeline added.
-                latencies.append(max(0.0, elapsed - (final.get("wall_s")
-                                                     or 0.0)))
-                finals.append(final)
+            with ServiceClient(port=live.port, timeout_s=300.0,
+                               max_retries=8) as client:
+                for kind, payload in _client_submissions(config,
+                                                         client_index):
+                    t0 = time.perf_counter()
+                    doc = client.submit(kind, payload,
+                                        client=f"load-{client_index}")
+                    final = client.wait(doc["id"], timeout_s=300.0)
+                    elapsed = time.perf_counter() - t0
+                    # Submit→terminal latency net of the job's own run
+                    # time: what the queue + shards + SSE pipeline added.
+                    latencies.append(max(0.0, elapsed - (
+                        final.get("wall_s") or 0.0)))
+                    finals.append(final)
             return finals
 
         with concurrent.futures.ThreadPoolExecutor(
@@ -225,9 +220,9 @@ def _mixed_load_lane(
                                        range(config.service_clients))
                 for final in finals
             ]
-        client = ServiceClient(port=live.port)
-        overview = client.overview()
-        health = client.healthz()
+        with ServiceClient(port=live.port) as client:
+            overview = client.overview()
+            health = client.healthz()
         wall_s = time.perf_counter() - started
 
         for client_index in range(config.service_clients):
@@ -252,7 +247,6 @@ def _mixed_load_lane(
             "scenario": "mixed-load",
             "clients": config.service_clients,
             "shards": config.service_shards,
-            "executor": config.service_executor,
             "jobs_submitted": len(all_finals),
             "unique_keys": unique_keys,
             "done": done,
@@ -270,15 +264,13 @@ def _warm_resubmit_lane(
     submissions: list[tuple[str, dict[str, t.Any]]],
 ) -> dict[str, t.Any]:
     service_config = ServiceConfig(
-        shards=config.service_shards,
-        executor="thread",
-        cache_dir=cache_dir,
+        shards=config.service_shards, cache_dir=cache_dir,
     )
     cacheable = [(kind, payload) for kind, payload in submissions
                  if kind in ("experiment", "trace")]
     hits = 0
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port, timeout_s=300.0)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port, timeout_s=300.0) as client):
         for kind, payload in cacheable:
             doc = client.submit(kind, payload, client="resubmitter")
             if doc["state"] != "done":
@@ -304,12 +296,10 @@ def _warm_resubmit_lane(
 
 
 def _crash_requeue_lane(root: str) -> dict[str, t.Any]:
-    service_config = ServiceConfig(
-        shards=1, executor="spawn", job_timeout_s=120.0,
-    )
+    service_config = ServiceConfig(shards=1, job_timeout_s=120.0)
     marker = os.path.join(root, "crash-once")
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port, timeout_s=180.0)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port, timeout_s=180.0) as client):
         doc = client.submit("sleep", {
             "duration_s": 0.0, "crash_unless": marker, "label": "crashy",
         })
@@ -371,11 +361,10 @@ def _recovery_lane(root: str) -> dict[str, t.Any]:
 
     def instance() -> ServiceThread:
         return ServiceThread(ServiceConfig(
-            shards=1, executor="thread", journal_dir=journal_dir,
+            shards=1, journal_dir=journal_dir,
         ))
 
-    with instance() as live:
-        client = ServiceClient(port=live.port)
+    with instance() as live, ServiceClient(port=live.port) as client:
         # One running + three queued at the kill.  The hold is long
         # enough that abrupt teardown beats its completion, short
         # enough that the reboot's full re-run stays cheap.
@@ -387,9 +376,9 @@ def _recovery_lane(root: str) -> dict[str, t.Any]:
               what="hold job to start")
         # Context exit stops the loop abruptly — no drain, no clean
         # marker: the in-process stand-in for SIGKILL.
-    with instance() as live:
+    with (instance() as live,
+          ServiceClient(port=live.port, timeout_s=120.0) as client):
         recovery = live.call(_read_recovery)
-        client = ServiceClient(port=live.port, timeout_s=120.0)
         for doc in client.overview()["jobs"]:
             client.wait(doc["id"], timeout_s=120.0)
         snapshot = live.call(_jobs_snapshot)
@@ -409,10 +398,10 @@ def _drain_lane(root: str) -> dict[str, t.Any]:
     journal_dir = os.path.join(root, "journal-drain")
     refused_503 = retry_after_ok = False
     live = ServiceThread(ServiceConfig(
-        shards=1, executor="thread", journal_dir=journal_dir,
+        shards=1, journal_dir=journal_dir,
     )).start()
+    client = ServiceClient(port=live.port)
     try:
-        client = ServiceClient(port=live.port)
         inflight = client.submit("sleep", {"duration_s": 2.0,
                                            "label": "inflight"})
         _poll(lambda: client.status(inflight["id"])["state"] == "running",
@@ -428,9 +417,10 @@ def _drain_lane(root: str) -> dict[str, t.Any]:
             retry_after_ok = exc.retry_after_s > 0
         drainer.join(timeout=60.0)
     finally:
+        client.close()
         live.stop()
     with ServiceThread(ServiceConfig(
-        shards=1, executor="thread", journal_dir=journal_dir,
+        shards=1, journal_dir=journal_dir,
     )) as live:
         recovery = live.call(_read_recovery)
     return {
@@ -447,16 +437,14 @@ def _drain_lane(root: str) -> dict[str, t.Any]:
 def _telemetry_lane(config: ExperimentConfig) -> dict[str, t.Any]:
     """One HTTP job = one connected distributed trace.
 
-    A ``spawn`` shard so the trace genuinely crosses a process
-    boundary: the worker's sim-clock spans come back over the queue
-    and hang off the worker span.  The critical-path breakdown must
+    The trace crosses the spawn worker's process boundary: the worker's
+    sim-clock spans come back over the queue and hang off the worker
+    span.  The critical-path breakdown must
     tile the end-to-end wall time (the ±5 % acceptance bound).
     """
-    service_config = ServiceConfig(
-        shards=1, executor="spawn", job_timeout_s=300.0,
-    )
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port, timeout_s=300.0)
+    service_config = ServiceConfig(shards=1, job_timeout_s=300.0)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port, timeout_s=300.0) as client):
         doc = client.submit(
             "experiment",
             {"experiment": "fig02", "preset": "quick", "seed": config.seed},
@@ -507,10 +495,10 @@ def _slo_lane() -> dict[str, t.Any]:
         short_window_s=1.5, long_window_s=6.0,
         burn_threshold=2.0, min_samples=5,
     )
-    service_config = ServiceConfig(shards=1, executor="thread", slo=slo)
+    service_config = ServiceConfig(shards=1, slo=slo)
     burn_peak = 0.0
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port, timeout_s=60.0)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port, timeout_s=60.0) as client):
 
         def slo_alerting() -> bool:
             return any(v["check"] == "service.slo"
@@ -554,12 +542,12 @@ def _slo_lane() -> dict[str, t.Any]:
 def _breaker_lane(root: str) -> dict[str, t.Any]:
     """A worker hard-exit trips the breaker; the probe re-closes it."""
     service_config = ServiceConfig(
-        shards=1, executor="spawn", job_timeout_s=120.0,
+        shards=1, job_timeout_s=120.0,
         breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.5),
     )
     marker = os.path.join(root, "breaker-crash-once")
-    with ServiceThread(service_config) as live:
-        client = ServiceClient(port=live.port, timeout_s=180.0)
+    with (ServiceThread(service_config) as live,
+          ServiceClient(port=live.port, timeout_s=180.0) as client):
         doc = client.submit("sleep", {
             "duration_s": 0.0, "crash_unless": marker, "label": "tripper",
         })

@@ -167,12 +167,11 @@ def run_payload(kind: str, payload: dict[str, t.Any],
     """Execute one job; the only function service workers ever run.
 
     *trace* is the distributed-trace context crossing the spawn
-    boundary: ``{"trace_id", "span_id", "capture_sim", "sampling"}``.
-    When present, the returned envelope grows a ``"trace"`` doc — the
-    worker's pid plus (under ``capture_sim``) the sim-clock tracer's
-    span records as plain data, exactly how the campaign pool ships
-    traces home.  The service strips the doc back out before caching,
-    so the cache schema never sees it.
+    boundary: ``{"trace_id", "span_id", "sampling"}``.  When present,
+    the returned envelope grows a ``"trace"`` doc — the worker's pid
+    plus the sim-clock tracer's span records as plain data, exactly how
+    the campaign pool ships traces home.  The service strips the doc
+    back out before caching, so the cache schema never sees it.
     """
     if trace is None:
         return _execute(kind, payload)
@@ -181,8 +180,12 @@ def run_payload(kind: str, payload: dict[str, t.Any],
 
 def _execute(kind: str, payload: dict[str, t.Any]) -> dict[str, t.Any]:
     start = time.perf_counter()
+    config = None
     if kind == "experiment":
-        result = _run_experiment(payload)
+        from repro.harness.registry import run_experiment
+
+        config = _experiment_config(payload)
+        result = run_experiment(payload["experiment"], config)
     elif kind == "trace":
         result = _run_trace(payload)
     elif kind == "sleep":
@@ -190,36 +193,32 @@ def _execute(kind: str, payload: dict[str, t.Any]) -> dict[str, t.Any]:
     else:  # pragma: no cover - submit() validates kinds
         raise ServiceError(f"unknown job kind: {kind!r}")
     wall_s = time.perf_counter() - start
-    result = result.with_meta(wall_s=round(wall_s, 6))
+    # An experiment result carries the same provenance meta as a
+    # campaign job's, so the cache entry it writes reads the same.
+    result = (config.stamp(result, wall_s) if config is not None
+              else result.with_meta(wall_s=round(wall_s, 6)))
     return {"result_json": result.to_json(), "wall_s": wall_s}
 
 
 def _execute_traced(kind: str, payload: dict[str, t.Any],
                     trace: dict[str, t.Any]) -> dict[str, t.Any]:
-    """Run under the worker's own sim-span capture when asked.
+    """Run under the worker's own sim-span capture.
 
-    ``capture_sim`` installs a process-global tracer, which is only
-    safe when this worker owns the whole process — the service sets it
-    for ``spawn`` executors and never for threads (two thread jobs
-    capturing concurrently would interleave their spans).
+    The capture installs a process-global tracer, which is safe
+    because a spawn worker runs one job at a time in a process of its
+    own.
     """
+    from repro import obs
     from repro.campaign.pool import worker_identity
+    from repro.obs import export
 
+    with obs.capture(sampling=trace.get("sampling")) as (tracer, _metrics):
+        envelope = _execute(kind, payload)
     trace_doc: dict[str, t.Any] = {
         "trace_id": trace.get("trace_id", ""),
         "span_id": trace.get("span_id", ""),
         **worker_identity(),
     }
-    if not trace.get("capture_sim"):
-        envelope = _execute(kind, payload)
-        envelope["trace"] = trace_doc
-        return envelope
-
-    from repro import obs
-    from repro.obs import export
-
-    with obs.capture(sampling=trace.get("sampling")) as (tracer, _metrics):
-        envelope = _execute(kind, payload)
     records = []
     truncated = False
     for record in export.iter_records(tracer):
@@ -231,12 +230,6 @@ def _execute_traced(kind: str, payload: dict[str, t.Any],
     trace_doc["truncated"] = truncated
     envelope["trace"] = trace_doc
     return envelope
-
-
-def _run_experiment(payload: dict[str, t.Any]) -> t.Any:
-    from repro.harness.registry import run_experiment
-
-    return run_experiment(payload["experiment"], _experiment_config(payload))
 
 
 def _run_trace(payload: dict[str, t.Any]) -> t.Any:

@@ -29,9 +29,12 @@ the order they matter:
   :attr:`JournalConfig.rotate_records` records, compaction rewrites
   the *live* state (one ``accepted`` record per non-terminal job) into
   a fresh segment — written to a temp file, fsynced, atomically
-  renamed, and only then are the old segments unlinked.  Terminal jobs
-  leave the journal entirely at compaction; their results already
-  live in the content-addressed cache.
+  renamed, and only then are the old segments unlinked.  The journal
+  keeps that live set in memory (seeded by :meth:`JobJournal.replay`,
+  folded on every append), so compaction writes without reading a
+  segment back.  Terminal jobs leave the journal entirely at
+  compaction; their results already live in the content-addressed
+  cache.
 * **A clean shutdown is free.**  Drain writes a ``shutdown`` marker as
   the final record; a boot that finds it skips replay entirely.
 
@@ -160,9 +163,15 @@ class JobJournal:
         self.write_errors = 0
         self.records_written = 0
         self._fh: t.IO[bytes] | None = None
+        segments = self._segments()
         self._seq = max(
-            (self._segment_index(p) for p in self._segments()), default=0
+            (self._segment_index(p) for p in segments), default=0
         )
+        #: job id -> ``accepted`` envelope of every job a replay would
+        #: find live; ``None`` until :meth:`replay` has read the
+        #: segments a new instance found on disk.
+        self._live: dict[str, dict[str, t.Any]] | None = (
+            None if segments else {})
         self._active_records = 0
         self._unsynced = 0
 
@@ -243,6 +252,12 @@ class JobJournal:
             self.write_errors += 1
             raise JournalWriteError(
                 f"journal write failed: {exc}") from exc
+        if self._live is not None:
+            job_id = fields.get("id")
+            if record_type == ACCEPTED and job_id is not None:
+                self._live[job_id] = fields
+            elif record_type in TERMINAL_RECORDS:
+                self._live.pop(job_id, None)
         if self._active_records >= self.config.rotate_records:
             self.rotate()
 
@@ -261,20 +276,22 @@ class JobJournal:
         """Compact every segment into a fresh one and drop the old.
 
         *live* is the snapshot of still-resubmittable ``accepted``
-        envelopes to carry forward; when ``None`` it is derived by
-        replaying the existing segments (what :meth:`append` does on
-        auto-rotation).  The new segment is written aside, fsynced,
-        atomically renamed into place, and only then are the old
-        segments unlinked — a crash at any point leaves either the old
-        segments or a complete new one, never neither.
+        envelopes to carry forward, and becomes the journal's live set;
+        when ``None`` (what :meth:`append` does on auto-rotation) the
+        live set the journal keeps is carried, or a replay's when no
+        replay has seeded it yet.  The new segment is written aside,
+        fsynced, atomically renamed into place, and only then are the
+        old segments unlinked — a crash at any point leaves either the
+        old segments or a complete new one, never neither.
         """
         try:
-            self.flush()  # replay reads disk; push buffered appends out
+            self.flush()  # a replay reads disk; push buffered appends out
         except OSError:
             self.write_errors += 1
         if live is None:
-            state = self.replay()
-            live = list(state.live.values())
+            live = (self._live if self._live is not None
+                    else self.replay().live).values()
+        live = list(live)
         old = self._segments()
         self.close(mark_clean=False)
         self._seq += 1
@@ -292,8 +309,10 @@ class JobJournal:
             if path != target:
                 path.unlink(missing_ok=True)
         self._fh = open(target, "ab")
-        self._active_records = self._count_records(target)
+        self._active_records = len(live)
         self._unsynced = 0
+        self._live = {envelope["id"]: envelope for envelope in live
+                      if envelope.get("id") is not None}
         return target
 
     # -- replay -------------------------------------------------------
@@ -313,6 +332,7 @@ class JobJournal:
                                  truncate_tail=segment == segments[-1])
         if state.clean:
             state.live.clear()
+        self._live = dict(state.live)
         return state
 
     def _replay_segment(self, segment: pathlib.Path, state: ReplayState,

@@ -95,8 +95,9 @@ class TestBenchGate:
         from repro.campaign import bench as bench_mod
 
         bench_path = tmp_path / "BENCH.json"
-        # fig02 runs long enough (~1 s) to clear the gate's noise floor.
-        args = ("fig02", "--preset", "quick", "--jobs", "2")
+        # fig04 quick runs long enough (~0.7 s) to clear the gate's
+        # 0.25 s noise floor; fig02 quick (~0.2 s) no longer does.
+        args = ("fig04", "--preset", "quick", "--jobs", "2")
         assert run_cli(capsys, *args, "--bench", str(bench_path))[0] == 0
         # Doctor the baseline: pretend fig02 used to be 100x faster.
         data = json.loads(bench_path.read_text())
@@ -109,4 +110,4 @@ class TestBenchGate:
             capsys, *args, "--bench-baseline", str(bench_path)
         )
         assert code == 1
-        assert "PERF REGRESSION" in err and "fig02@quick" in err
+        assert "PERF REGRESSION" in err and "fig04@quick" in err

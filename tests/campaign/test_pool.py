@@ -293,3 +293,16 @@ class TestSpawnWorker:
         with pytest.raises(JobFailedError) as excinfo:
             worker.run(os.getpid)
         assert excinfo.value.reason == "aborted"
+
+    def test_close_right_after_a_job_exits_in_order(self):
+        # A SIGTERM that lands just as the worker goes back to its
+        # inbox must still end it by its own handler: no 5 s join, no
+        # SIGKILL (exit code -9).
+        for _ in range(10):
+            worker = SpawnWorker(timeout_s=30.0)
+            worker.run(os.getpid)
+            proc = worker._proc
+            start = time.perf_counter()
+            worker.close()
+            assert time.perf_counter() - start < 1.0
+            assert proc.exitcode == 0

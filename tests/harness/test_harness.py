@@ -69,10 +69,6 @@ class TestConfig:
                 # Doubling "all" is not a registered backend name.
                 changed = dataclasses.replace(base,
                                               netstack_backend="hostlo")
-            elif field.name == "service_executor":
-                # Doubling "thread" is not a registered executor.
-                changed = dataclasses.replace(base,
-                                              service_executor="spawn")
             else:
                 value = getattr(base, field.name)
                 if isinstance(value, bool):

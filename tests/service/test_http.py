@@ -27,15 +27,20 @@ from repro.service.journal import JournalConfig
 from repro.service.thread import ServiceThread
 
 
-def thread_config(**overrides) -> ServiceConfig:
-    return ServiceConfig(**{"shards": 1, "executor": "thread",
-                            **overrides})
+def one_shard(**overrides) -> ServiceConfig:
+    return ServiceConfig(**{"shards": 1, **overrides})
 
 
 @pytest.fixture()
 def live():
-    with ServiceThread(thread_config()) as instance:
+    with ServiceThread(one_shard()) as instance:
         yield instance
+
+
+@pytest.fixture()
+def client(live):
+    with ServiceClient(port=live.port) as client:
+        yield client
 
 
 async def _count(svc, job_id):
@@ -43,8 +48,7 @@ async def _count(svc, job_id):
 
 
 class TestRoundtrip:
-    def test_submit_wait_status(self, live):
-        client = ServiceClient(port=live.port)
+    def test_submit_wait_status(self, client):
         doc = client.submit("sleep", {"duration_s": 0.01, "label": "rt"})
         assert doc["state"] in ("queued", "running")
         final = client.wait(doc["id"], timeout_s=30.0)
@@ -52,8 +56,7 @@ class TestRoundtrip:
         assert final["wall_s"] >= 0.01
         assert final["result"]["rows"][0]["label"] == "rt"
 
-    def test_duplicate_submit_returns_the_same_job(self, live):
-        client = ServiceClient(port=live.port)
+    def test_duplicate_submit_returns_the_same_job(self, client):
         payload = {"duration_s": 0.01, "label": "dup"}
         a = client.submit("sleep", payload, client="one")
         b = client.submit("sleep", payload, client="two")
@@ -64,18 +67,17 @@ class TestRoundtrip:
         assert c["id"] == a["id"] and c["state"] == "done"
         assert final["state"] == "done"
 
-    def test_overview_lists_jobs(self, live):
-        client = ServiceClient(port=live.port)
+    def test_overview_lists_jobs(self, client):
         doc = client.submit("sleep", {"label": "listed"})
         client.wait(doc["id"], timeout_s=30.0)
         overview = client.overview()
-        assert overview["config"]["executor"] == "thread"
+        assert set(overview["config"]) == {"shards", "capacity",
+                                           "per_client_quota"}
         assert any(job["id"] == doc["id"] for job in overview["jobs"])
 
 
 class TestErrors:
-    def test_unknown_job_is_404(self, live):
-        client = ServiceClient(port=live.port)
+    def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError, match="404"):
             client.status("j99999")
 
@@ -96,8 +98,7 @@ class TestErrors:
         finally:
             conn.close()
 
-    def test_bad_kind_is_400(self, live):
-        client = ServiceClient(port=live.port)
+    def test_bad_kind_is_400(self, client):
         with pytest.raises(ServiceError, match="400"):
             client.submit("bogus", {})
 
@@ -147,10 +148,10 @@ class TestErrors:
 
 class TestAdmissionOverHttp:
     def test_429_carries_retry_after(self):
-        config = thread_config(capacity=1, per_client_quota=1,
+        config = one_shard(capacity=1, per_client_quota=1,
                                retry_after_s=0.2)
-        with ServiceThread(config) as live:
-            client = ServiceClient(port=live.port)
+        with (ServiceThread(config) as live,
+              ServiceClient(port=live.port) as client):
             hold = client.submit("sleep", {"duration_s": 5.0,
                                            "label": "hold"},
                                  client="filler")
@@ -175,8 +176,7 @@ class TestAdmissionOverHttp:
 
 
 class TestStreaming:
-    def test_sse_lifecycle_to_terminal(self, live):
-        client = ServiceClient(port=live.port)
+    def test_sse_lifecycle_to_terminal(self, client):
         doc = client.submit("sleep", {"duration_s": 0.05, "label": "sse"})
         events = list(client.stream(doc["id"]))
         names = [name for name, _data in events]
@@ -185,18 +185,16 @@ class TestStreaming:
         # Every event carries the job identity and a state.
         assert all(data["id"] == doc["id"] for _name, data in events)
 
-    def test_late_subscriber_replays_history(self, live):
-        client = ServiceClient(port=live.port)
+    def test_late_subscriber_replays_history(self, client):
         doc = client.submit("sleep", {"duration_s": 0.0, "label": "late"})
         client.wait(doc["id"], timeout_s=30.0)
         # Job already terminal: the stream replays and closes.
         names = [name for name, _data in client.stream(doc["id"])]
         assert names == ["queued", "started", "done"]
 
-    def test_disconnect_mid_stream_leaks_nothing(self, live):
+    def test_disconnect_mid_stream_leaks_nothing(self, live, client):
         """A client that vanishes mid-stream is unsubscribed, and its
         job keeps running (disconnection is not cancellation)."""
-        client = ServiceClient(port=live.port)
         doc = client.submit("sleep", {"duration_s": 4.0, "label": "gone"})
 
         conn = http.client.HTTPConnection("127.0.0.1", live.port,
@@ -225,12 +223,11 @@ class TestStreaming:
         final = client.wait(doc["id"], timeout_s=10.0)
         assert final["state"] == "cancelled"
 
-    def test_abrupt_disconnect_mid_event_frame(self, live):
+    def test_abrupt_disconnect_mid_event_frame(self, live, client):
         """A subscriber that RSTs its socket after reading only half a
         frame (not even a full SSE event) must not take the service
         down — the write side absorbs the connection reset and the
         job's remaining events go to nobody."""
-        client = ServiceClient(port=live.port)
         doc = client.submit("sleep", {"duration_s": 1.0, "label": "rst"})
 
         sock = socket.create_connection(("127.0.0.1", live.port),
@@ -273,8 +270,7 @@ def _raw(port, request: bytes) -> bytes:
 
 
 class TestKeepAlive:
-    def test_json_calls_share_one_connection(self, live):
-        client = ServiceClient(port=live.port)
+    def test_json_calls_share_one_connection(self, client):
         connects = []
         connect = client._connect
 
@@ -296,8 +292,7 @@ class TestKeepAlive:
         assert len(connects) == 2
         client.close()
 
-    def test_close_reaches_every_thread(self, live):
-        client = ServiceClient(port=live.port)
+    def test_close_reaches_every_thread(self, client):
         conns = []
         connect = client._connect
 
@@ -377,7 +372,7 @@ class TestKeepAlive:
         hook = sys.unraisablehook
         sys.unraisablehook = unraisable.append
         try:
-            live = ServiceThread(thread_config()).start()
+            live = ServiceThread(one_shard()).start()
             client = ServiceClient(port=live.port, timeout_s=5.0)
             client.healthz()  # the connection now sits idle, open
             start = time.monotonic()
@@ -400,7 +395,7 @@ class TestKeepAlive:
                "PYTHONUNBUFFERED": "1"}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service", "--port", "0",
-             "--shards", "1", "--executor", "thread"],
+             "--shards", "1", "--executor", "spawn"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=env,
         )
@@ -426,15 +421,13 @@ class TestKeepAlive:
 
 
 class TestOps:
-    def test_healthz_green(self, live):
-        client = ServiceClient(port=live.port)
+    def test_healthz_green(self, client):
         doc = client.submit("sleep", {"label": "hz"})
         client.wait(doc["id"], timeout_s=30.0)
         health = client.healthz()
         assert health["status"] == "ok" and health["violations"] == []
 
-    def test_metrics_exposition(self, live):
-        client = ServiceClient(port=live.port)
+    def test_metrics_exposition(self, client):
         doc = client.submit("sleep", {"label": "m"})
         client.wait(doc["id"], timeout_s=30.0)
         text = client.metrics_text()
@@ -446,9 +439,9 @@ class TestOps:
         down mid-flight: every scrape either returns a full exposition
         or a clean connection error — never a hung thread or a torn
         half-response that parses as metrics."""
-        live = ServiceThread(thread_config()).start()
+        live = ServiceThread(one_shard()).start()
         client = ServiceClient(port=live.port, timeout_s=5.0)
-        doc = client.submit("sleep", {"duration_s": 0.5, "label": "mx"})
+        client.submit("sleep", {"duration_s": 0.5, "label": "mx"})
         stop = threading.Event()
         outcomes: list[str] = []
         lock = threading.Lock()
@@ -476,7 +469,7 @@ class TestOps:
             thread.join(timeout=10.0)
         assert not any(thread.is_alive() for thread in scrapers)
         assert "ok" in outcomes  # scrapes really ran before the stop
-        del doc
+        client.close()
 
     def test_teardown_races_a_fresh_cancel(self):
         """Regression: cancelling a running job and stopping the
@@ -484,8 +477,8 @@ class TestOps:
         loop once swallowed its own shutdown cancellation here and
         aclose waited on a zombie for the full join timeout)."""
         start = time.perf_counter()
-        with ServiceThread(thread_config()) as live:
-            client = ServiceClient(port=live.port)
+        with (ServiceThread(one_shard()) as live,
+              ServiceClient(port=live.port) as client):
             doc = client.submit("sleep", {"duration_s": 3.0,
                                           "label": "racing"})
             deadline = time.monotonic() + 10.0
@@ -510,11 +503,11 @@ async def _start_drain(svc):
 
 class TestDrainOverHttp:
     def test_503_with_retry_after_while_draining(self, tmp_path):
-        config = thread_config(journal_dir=tmp_path / "journal",
+        config = one_shard(journal_dir=tmp_path / "journal",
                                journal=JournalConfig(fsync="never"),
                                retry_after_s=0.25)
-        with ServiceThread(config) as live:
-            client = ServiceClient(port=live.port)
+        with (ServiceThread(config) as live,
+              ServiceClient(port=live.port) as client):
             doc = client.submit("sleep", {"duration_s": 2.0, "label": "d"})
             live.call(_start_drain)
             with pytest.raises(ServiceUnavailableError) as excinfo:
@@ -544,9 +537,9 @@ class TestDrainOverHttp:
 
 class TestClientRetries:
     def test_default_client_surfaces_the_refusal(self):
-        config = thread_config(capacity=1)
-        with ServiceThread(config) as live:
-            client = ServiceClient(port=live.port)
+        config = one_shard(capacity=1)
+        with (ServiceThread(config) as live,
+              ServiceClient(port=live.port) as client):
             hold = client.submit("sleep", {"duration_s": 5.0,
                                            "label": "hold"})
             with pytest.raises(AdmissionError):
@@ -554,9 +547,10 @@ class TestClientRetries:
             client.cancel(hold["id"])
 
     def test_max_retries_resubmits_after_the_hint(self):
-        config = thread_config(capacity=1, retry_after_s=0.1)
-        with ServiceThread(config) as live:
-            client = ServiceClient(port=live.port, max_retries=3)
+        config = one_shard(capacity=1, retry_after_s=0.1)
+        with (ServiceThread(config) as live,
+              ServiceClient(port=live.port, max_retries=3) as client,
+              ServiceClient(port=live.port) as client_b):
             slept: list[float] = []
             hold = client.submit("sleep", {"duration_s": 30.0,
                                            "label": "hold"})
@@ -565,7 +559,6 @@ class TestClientRetries:
                 # First refusal: free the slot instead of sleeping, so
                 # the retry deterministically succeeds.
                 slept.append(seconds)
-                client_b = ServiceClient(port=live.port)
                 client_b.cancel(hold["id"])
 
             client._sleep = free_then_note
@@ -585,9 +578,9 @@ class TestClientRetries:
         assert len(set(delays)) > 1  # actually jittered
 
     def test_retry_budget_exhausts(self):
-        config = thread_config(capacity=1, retry_after_s=0.02)
-        with ServiceThread(config) as live:
-            client = ServiceClient(port=live.port, max_retries=2)
+        config = one_shard(capacity=1, retry_after_s=0.02)
+        with (ServiceThread(config) as live,
+              ServiceClient(port=live.port, max_retries=2) as client):
             naps: list[float] = []
             client._sleep = naps.append
             hold = client.submit("sleep", {"duration_s": 30.0,

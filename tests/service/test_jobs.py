@@ -106,7 +106,7 @@ class TestRunPayload:
         monkeypatch.setattr(jobs, "TRACE_RECORD_LIMIT", 5)
         out = jobs.run_payload(
             "experiment", {"experiment": "fig08", "preset": "quick"},
-            trace={"trace_id": "t1", "span_id": "w1", "capture_sim": True},
+            trace={"trace_id": "t1", "span_id": "w1"},
         )
         assert len(out["trace"]["records"]) == 5
         assert out["trace"]["truncated"] is True

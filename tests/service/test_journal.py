@@ -5,6 +5,7 @@ import pytest
 from repro import faults
 from repro.errors import ConfigurationError, ServiceError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.service import journal as journal_mod
 from repro.service.journal import (
     ACCEPTED,
     DISPATCHED,
@@ -139,6 +140,36 @@ class TestRotation:
         assert set(state.live) == {"j4", "j5"}
         assert state.records < 10  # compaction dropped terminal history
 
+    def test_auto_rotation_reads_no_segment(self, tmp_path, monkeypatch):
+        j = journal(tmp_path)
+        for i in range(3):
+            j.append(ACCEPTED, **envelope(f"j{i}"))
+        j.append(DONE, id="j0")
+        j.close()
+        # A reopened journal learns its live set from the boot replay;
+        # from then on compaction writes it without reading back.
+        j = journal(tmp_path, rotate_records=8)
+        assert set(j.replay().live) == {"j1", "j2"}
+        j.append(DISPATCHED, id="j1", attempt=1)  # opens the segment
+        before = j.active_segment
+
+        def no_reads(path, mode="r", *args, **kwargs):
+            assert "r" not in mode, f"opened {path} to read"
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(journal_mod, "open", no_reads, raising=False)
+        monkeypatch.setattr(
+            JobJournal, "_replay_segment",
+            lambda *args, **kwargs: pytest.fail("replayed a segment"))
+        for i in range(3, 6):
+            j.append(ACCEPTED, **envelope(f"j{i}"))
+        j.append(DONE, id="j1")
+        assert j.active_segment != before  # the threshold was crossed
+        monkeypatch.undo()
+        j.close()
+        assert set(journal(tmp_path).replay().live) == {"j2", "j3", "j4",
+                                                        "j5"}
+
     def test_explicit_rotate_with_snapshot(self, tmp_path):
         j = journal(tmp_path)
         j.append(ACCEPTED, **envelope("j1"))
@@ -151,11 +182,12 @@ class TestRotation:
         j.close()
 
     def test_rotation_preserves_buffered_appends(self, tmp_path):
-        """Regression: rotate() replays from disk, so appends still in
-        the stdio buffer must be flushed first or they vanish."""
+        """Regression: rotate() once replayed from disk, and appends
+        still in the stdio buffer vanished; the live set it carries
+        now must hold them too."""
         j = journal(tmp_path, batch_records=100)
         j.append(ACCEPTED, **envelope("j1"))
-        j.rotate()  # live=None: derived by replaying the segments
+        j.rotate()  # live=None: the journal's own live set
         state = j.replay()
         assert set(state.live) == {"j1"}
         j.close()

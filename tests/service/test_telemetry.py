@@ -1,6 +1,6 @@
 """End-to-end distributed tracing: one job, one connected trace.
 
-Covers the span pipeline in-process (thread executor), the spawn
+Covers the span pipeline in-process, the spawn
 boundary (worker spans + sim children + retry attempts under one trace
 id), the journal's trace-id survival across a crash, and the HTTP
 surface (``X-Trace-Id`` everywhere, ``GET /jobs/<id>/trace``).
@@ -9,22 +9,13 @@ surface (``X-Trace-Id`` everywhere, ``GET /jobs/<id>/trace``).
 import asyncio
 import json
 import os
-import time
 
 import pytest
 
-from repro.obs.distributed import PHASES, TraceContext
+from repro.obs.distributed import TraceContext
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig, TraceService
 from repro.service.thread import ServiceThread
-
-
-def run_async(coro):
-    loop = asyncio.new_event_loop()
-    try:
-        return loop.run_until_complete(coro)
-    finally:
-        loop.close()
 
 
 async def wait_terminal(service, job, timeout_s=120.0):
@@ -41,16 +32,14 @@ async def wait_terminal(service, job, timeout_s=120.0):
         service.unsubscribe(job.id, queue)
 
 
-def thread_service(**overrides) -> TraceService:
-    config = ServiceConfig(**{"shards": 1, "executor": "thread",
-                              **overrides})
-    return TraceService(config)
+def one_shard(**overrides) -> TraceService:
+    return TraceService(ServiceConfig(**{"shards": 1, **overrides}))
 
 
 class TestInProcessTrace:
     def test_one_job_yields_one_connected_trace(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"duration_s": 0.02,
@@ -61,7 +50,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        trace_id, doc = run_async(scenario())
+        trace_id, doc = asyncio.run(scenario())
         assert doc["trace_id"] == trace_id
         assert doc["connected"]
         names = {s["name"] for s in doc["spans"]}
@@ -71,7 +60,7 @@ class TestInProcessTrace:
 
     def test_critical_path_components_tile_e2e(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"duration_s": 0.05,
@@ -81,7 +70,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        doc = run_async(scenario())
+        doc = asyncio.run(scenario())
         path = doc["critical_path"]
         total = sum(path["components"].values())
         assert path["e2e_s"] > 0
@@ -93,7 +82,7 @@ class TestInProcessTrace:
 
     def test_caller_context_and_baggage_propagate(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 ctx = TraceContext.root("caller-minted-id", tenant="t9")
@@ -105,7 +94,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        job, doc = run_async(scenario())
+        job, doc = asyncio.run(scenario())
         assert job.trace_id == "caller-minted-id"
         assert job.summary()["trace_id"] == "caller-minted-id"
         roots = [s for s in doc["spans"] if s["name"] == "job"]
@@ -117,7 +106,7 @@ class TestInProcessTrace:
 
     def test_done_event_carries_trace_id_and_critical_path(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "evt"})
@@ -133,7 +122,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        job, done = run_async(scenario())
+        job, done = asyncio.run(scenario())
         assert done.data["trace_id"] == job.trace_id
         path = done.data["critical_path"]
         assert sum(path["components"].values()) == (
@@ -141,7 +130,7 @@ class TestInProcessTrace:
 
     def test_latency_histograms_expose_buckets_sum_count(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "hist"})
@@ -150,7 +139,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        text = run_async(scenario())
+        text = asyncio.run(scenario())
         for family in ("service_admission_latency_s", "service_queue_wait_s",
                        "service_worker_wall_s", "service_e2e_latency_s"):
             assert f"# TYPE {family} histogram" in text
@@ -158,12 +147,12 @@ class TestInProcessTrace:
             assert 'le="+Inf"' in text
             assert f"{family}_sum{{" in text
             assert f"{family}_count{{" in text
-        assert 'backend="thread"' in text
         assert 'kind="sleep"' in text
+        assert "backend=" not in text  # one executor: no label for it
 
     def test_slo_document_rides_describe(self):
         async def scenario():
-            service = thread_service()
+            service = one_shard()
             await service.start()
             try:
                 job = service.submit("sleep", {"label": "slo"})
@@ -172,7 +161,7 @@ class TestInProcessTrace:
             finally:
                 await service.aclose()
 
-        doc = run_async(scenario())
+        doc = asyncio.run(scenario())
         assert doc["slo"]["recorded"] == 1
         assert doc["slo"]["objectives"]["availability"]["bad"] == 0
         assert doc["traces_held"] == 1
@@ -187,9 +176,7 @@ class TestSpawnBoundary:
         marker = os.fspath(tmp_path / "crash-once")
 
         async def scenario():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0,
-            ))
+            service = one_shard(job_timeout_s=120.0)
             await service.start()
             try:
                 job = service.submit("sleep", {
@@ -201,7 +188,7 @@ class TestSpawnBoundary:
             finally:
                 await service.aclose()
 
-        job, doc = run_async(scenario())
+        job, doc = asyncio.run(scenario())
         assert job.state == "done" and job.completions == 1
         workers = [s for s in doc["spans"] if s["name"] == "worker"]
         assert len(workers) == 2
@@ -226,9 +213,7 @@ class TestSpawnBoundary:
         payload = {"experiment": "fig07", "preset": "quick"}
 
         async def scenario():
-            service = TraceService(ServiceConfig(
-                shards=1, executor="spawn", job_timeout_s=120.0,
-            ))
+            service = one_shard(job_timeout_s=120.0)
             await service.start()
             try:
                 job = service.submit("experiment", payload)
@@ -237,7 +222,7 @@ class TestSpawnBoundary:
             finally:
                 await service.aclose()
 
-        job, doc = run_async(scenario())
+        job, doc = asyncio.run(scenario())
         assert job.state == "done" and doc["connected"]
         assert main(["fig07", "--preset", "quick",
                      "--trace", str(tmp_path)]) == 0
@@ -260,24 +245,19 @@ class TestRecoveryKeepsTraceId:
         journal_dir = os.fspath(tmp_path / "journal")
 
         def config():
-            return ServiceConfig(shards=1, executor="thread",
-                                 journal_dir=journal_dir)
+            return ServiceConfig(shards=1, journal_dir=journal_dir)
 
         async def first_boot():
             service = TraceService(config())
             await service.start()
             job = service.submit("sleep", {"duration_s": 5.0,
                                            "label": "survivor"})
-            trace_id = job.trace_id
             # Abrupt teardown: no drain, no clean marker (the
             # in-process stand-in for SIGKILL).
-            for task in service.shard_tasks():
-                task.cancel()
-            await asyncio.gather(*service.shard_tasks(),
-                                 return_exceptions=True)
-            return trace_id
+            await service.aclose()
+            return job.trace_id
 
-        trace_id = run_async(first_boot())
+        trace_id = asyncio.run(first_boot())
 
         async def second_boot():
             service = TraceService(config())
@@ -289,7 +269,7 @@ class TestRecoveryKeepsTraceId:
             finally:
                 await service.aclose()
 
-        recovered = run_async(second_boot())
+        recovered = asyncio.run(second_boot())
         assert recovered, "journal replay must re-admit the job"
         assert all(tid == trace_id and stid == trace_id
                    for tid, stid in recovered)
@@ -298,12 +278,15 @@ class TestRecoveryKeepsTraceId:
 class TestHttpSurface:
     @pytest.fixture()
     def live(self):
-        with ServiceThread(ServiceConfig(shards=1,
-                                         executor="thread")) as instance:
+        with ServiceThread(ServiceConfig(shards=1)) as instance:
             yield instance
 
-    def test_every_response_carries_x_trace_id(self, live):
-        client = ServiceClient(port=live.port)
+    @pytest.fixture()
+    def client(self, live):
+        with ServiceClient(port=live.port) as client:
+            yield client
+
+    def test_every_response_carries_x_trace_id(self, client):
         doc = client.submit("sleep", {"label": "hdr"})
         assert client.last_trace_id == doc["trace_id"]
         client.wait(doc["id"], timeout_s=30.0)
@@ -314,22 +297,19 @@ class TestHttpSurface:
         client.healthz()
         assert client.last_trace_id
 
-    def test_inbound_trace_id_is_honoured(self, live):
-        client = ServiceClient(port=live.port)
+    def test_inbound_trace_id_is_honoured(self, client):
         doc = client.submit("sleep", {"label": "mine"},
                             trace_id="my-own-trace-id-01")
         assert doc["trace_id"] == "my-own-trace-id-01"
         assert client.last_trace_id == "my-own-trace-id-01"
 
-    def test_hostile_inbound_trace_id_is_replaced(self, live):
-        client = ServiceClient(port=live.port)
+    def test_hostile_inbound_trace_id_is_replaced(self, client):
         doc = client.submit("sleep", {"label": "evil"},
                             trace_id="x")  # too short: rejected
         assert doc["trace_id"] != "x"
         assert len(doc["trace_id"]) == 16
 
-    def test_trace_route_serves_connected_trace(self, live):
-        client = ServiceClient(port=live.port)
+    def test_trace_route_serves_connected_trace(self, client):
         doc = client.submit("sleep", {"duration_s": 0.01, "label": "rt"})
         client.wait(doc["id"], timeout_s=30.0)
         trace = client.trace(doc["id"])
@@ -342,8 +322,7 @@ class TestHttpSurface:
         assert sum(path["components"].values()) == (
             pytest.approx(path["e2e_s"], rel=0.05))
 
-    def test_trace_route_chrome_format(self, live):
-        client = ServiceClient(port=live.port)
+    def test_trace_route_chrome_format(self, client):
         doc = client.submit("sleep", {"label": "chrome"})
         client.wait(doc["id"], timeout_s=30.0)
         chrome = client.trace(doc["id"], fmt="chrome")
@@ -356,13 +335,11 @@ class TestHttpSurface:
         phases = {e["name"] for e in events if e.get("ph") == "X"}
         assert "worker" in phases
 
-    def test_trace_of_unknown_job_is_404(self, live):
-        client = ServiceClient(port=live.port)
+    def test_trace_of_unknown_job_is_404(self, client):
         with pytest.raises(Exception, match="404"):
             client.trace("j99999")
 
-    def test_dedupe_twin_reports_the_first_trace(self, live):
-        client = ServiceClient(port=live.port)
+    def test_dedupe_twin_reports_the_first_trace(self, client):
         payload = {"duration_s": 0.2, "label": "twin"}
         a = client.submit("sleep", payload, client="one")
         b = client.submit("sleep", payload, client="two",

@@ -60,7 +60,7 @@ def test_server_runs_a_spawn_job_without_experiments():
         "import asyncio\n"
         "from repro.service.core import ServiceConfig, TraceService\n"
         "async def go():\n"
-        "    svc = TraceService(ServiceConfig(shards=1, executor='spawn'))\n"
+        "    svc = TraceService(ServiceConfig(shards=1))\n"
         "    await svc.start()\n"
         "    job = svc.submit('trace', {'users': 5})\n"
         "    async with asyncio.timeout(60):\n"
